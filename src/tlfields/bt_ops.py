@@ -162,7 +162,8 @@ class LevelProjection(OperatorExpr):
         return q >= self.cutoff if self.cmp == ">=" else q < self.cutoff
 
     def apply(self, x, window=None):
-        return _project(x, self.level, self._keep, self.sigma, window or self.descriptor.window)
+        w = self.descriptor.window if window is None else window
+        return _project(x, self.level, self._keep, self.sigma, w)
 
     def band1(self):
         return 0
@@ -227,7 +228,7 @@ class CoeffLift(OperatorExpr):
     def apply(self, x, window=None):
         if x.is_exact_zero():
             return x
-        w = window or self.descriptor.window
+        w = self.descriptor.window if window is None else window
         if self.sigma.sigma1.is_standard():
             coeffs = [self.inner.apply(c, w) for c in x.coeffs]
             return Series(x.field, x.depth, order=x.order, coeffs=coeffs, exact=x.exact)
@@ -456,7 +457,7 @@ class Certificate:
     def replay(self, probes, window=None):
         """Re-validate the evidence on fresh probe inputs."""
         phi = self.phi
-        w = window or phi.descriptor.window
+        w = phi.descriptor.window if window is None else window
         if self.target == "E":
             for p in probes:
                 img = phi.apply(p, w)
@@ -706,7 +707,7 @@ def _simplify_on_lattice(phi, m):
     if isinstance(phi, CoeffLift):
         return [(("lift", id(phi.inner)),)], m
     if isinstance(phi, DiffOp):
-        return [(("diff", id(phi)),)], m + phi.shift_interval()[0]
+        return [(("diff", phi.terms),)], m + phi.shift_interval()[0]
     if isinstance(phi, FiniteRank):
         if m >= phi.in_range1()[1]:
             return [], m

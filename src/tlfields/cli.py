@@ -679,6 +679,16 @@ def cmd_selftest(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tlfields",
@@ -691,7 +701,8 @@ def build_parser():
         p.add_argument("--ext-poly", default=None,
                        help="comma-separated monic minimal polynomial of the last residue field")
         p.add_argument("--n", type=int, default=n_default, help="dimension of the tower")
-        p.add_argument("--window", type=int, default=8, help="precision window per level")
+        p.add_argument("--window", type=_positive_int, default=8,
+                       help="precision window per level (an integer >= 1)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
         p.add_argument("--json", dest="json_out", action="store_true",

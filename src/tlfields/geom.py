@@ -8,6 +8,8 @@ infinity with uniformizer 1/t.  Summing the local residues over all points
 gives exactly zero.
 """
 
+from math import gcd
+
 from .errors import FactorizationOutOfScope, LocalFieldError
 from .scalars import (
     ExtField,
@@ -172,7 +174,7 @@ def _extract_rational_roots(base, den, factors):
         changed = False
         denom_lcm = 1
         for c in den:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
         zpoly = [int(c * denom_lcm) for c in den]
         if zpoly[0] == 0:
             lin = [base.zero, base.one]
@@ -219,7 +221,7 @@ def _find_quadratic_factor(base, den):
 
     denom_lcm = 1
     for c in den:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     zpoly = [int(c * denom_lcm) for c in den]
     points = []
     x = 0
@@ -253,12 +255,6 @@ def _find_quadratic_factor(base, den):
             i += 1
         else:
             return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def enumerate_closed_points(base, den, include_infinity=True):
@@ -329,7 +325,7 @@ def local_expansion(form, point, window=None):
         field = K.field
         dp = len(form.num) - 1
         dq = len(form.den) - 1
-        w = (window or 0) or max(0, dp + 2 - dq) + 3
+        w = max(0, dp + 2 - dq) + 3 if window is None else window
         # t = 1/u: p(1/u)/q(1/u) = u^(dq-dp) rev(p)/rev(q); dt = -u^-2 du
         revp = list(reversed(form.num))
         revq = list(reversed(form.den))
@@ -340,7 +336,7 @@ def local_expansion(form, point, window=None):
         coeff = shift * g
         return SeparatedForm(K, 1, {(1,): coeff})
     mult = _multiplicity(base, form.den, point.min_poly)
-    w = (window or 0) or mult + 3
+    w = mult + 3 if window is None else window
     K, T = _uniformizer_expansion(point, w + mult)
     field = K.field
     pT = _eval_poly_at_series(form.num, T, field)

@@ -386,11 +386,12 @@ class QuotientModule:
     def reduce(self, vec):
         """Coordinates over k_1(K) of a coset representative."""
         coords = mat_vec(self._inv, vec)
+        w = self.descriptor.window if self.window is None else self.window
         out = {}
         for j, y in enumerate(coords):
             if y.is_exact_zero():
                 continue
-            pairs = sigma_expand(y, self.sigma1, window=self.window or self.descriptor.window)
+            pairs = sigma_expand(y, self.sigma1, window=w)
             for bq, q in pairs:
                 if 0 <= q < self.gaps[j]:
                     out[(j, q)] = out.get((j, q), Series.zero(y.field, y.depth - 1)) + bq

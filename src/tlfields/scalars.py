@@ -4,11 +4,16 @@ A BaseField is either the rationals (characteristic 0, values are
 ``fractions.Fraction``) or a prime field F_p (values are ints in [0, p)).
 An ExtField is a finite extension k[x]/(m(x)) of degree <= 6, with elements
 stored as coordinate vectors in the power basis 1, x, ..., x^(d-1).
-Degree-1 extensions behave identically to the base field, so every consumer
-of scalars works uniformly through ExtScalar.
+Every consumer of scalars works through ExtScalar, degree-1 fields included.
+A degree-1 field k[x]/(x - c) is k itself: its elements are single base-field
+values, so ExtScalar arithmetic on them calls the BaseField operations on
+``coeffs[0]`` directly and never builds, reduces or inverts a polynomial.
+Fields compare by identity first; operands of one field object skip the
+structural comparison.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DivisionByZero,
@@ -235,7 +240,7 @@ def _check_irreducible_q(k, poly):
     # clear denominators: primitive integer polynomial, same factorization over Q
     denom = 1
     for c in poly:
-        denom = denom * c.denominator // _gcd_int(denom, c.denominator)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
     zpoly = [int(c * denom) for c in poly]
 
     # linear factors via the rational root theorem
@@ -252,12 +257,6 @@ def _check_irreducible_q(k, poly):
     # higher-degree factors via Kronecker interpolation
     for deg in range(2, d // 2 + 1):
         _kronecker_search(k, poly, zpoly, deg)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _kronecker_search(k, poly, zpoly, deg):
@@ -351,6 +350,8 @@ class ExtField:
         return self.base.char
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ExtField)
             and self.base == other.base
@@ -460,11 +461,11 @@ class ExtScalar:
         self.coeffs = coeffs
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, ExtScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise LocalFieldError("scalars from different fields")
             return other
         if isinstance(other, int):
@@ -477,10 +478,11 @@ class ExtScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.field.base
-        return ExtScalar(
-            self.field, tuple(k.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        k = field.base
+        if field.degree == 1:
+            return ExtScalar(field, (k.add(self.coeffs[0], other.coeffs[0]),))
+        return ExtScalar(field, tuple(k.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -488,10 +490,11 @@ class ExtScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.field.base
-        return ExtScalar(
-            self.field, tuple(k.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        k = field.base
+        if field.degree == 1:
+            return ExtScalar(field, (k.sub(self.coeffs[0], other.coeffs[0]),))
+        return ExtScalar(field, tuple(k.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -500,31 +503,40 @@ class ExtScalar:
         return other - self
 
     def __neg__(self):
-        k = self.field.base
-        return ExtScalar(self.field, tuple(k.neg(a) for a in self.coeffs))
+        field = self.field
+        k = field.base
+        if field.degree == 1:
+            return ExtScalar(field, (k.neg(self.coeffs[0]),))
+        return ExtScalar(field, tuple(k.neg(a) for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.field.base
+        field = self.field
+        k = field.base
+        if field.degree == 1:
+            return ExtScalar(field, (k.mul(self.coeffs[0], other.coeffs[0]),))
         prod = _poly_mul(k, list(self.coeffs), list(other.coeffs))
-        prod = _poly_mod(k, prod, list(self.field.min_poly))
-        prod += [k.zero] * (self.field.degree - len(prod))
-        return ExtScalar(self.field, tuple(prod))
+        prod = _poly_mod(k, prod, list(field.min_poly))
+        prod += [k.zero] * (field.degree - len(prod))
+        return ExtScalar(field, tuple(prod))
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
-        k = self.field.base
-        d, u, _ = _poly_ext_gcd(k, _poly_trim(list(self.coeffs)), list(self.field.min_poly))
+        field = self.field
+        k = field.base
+        if field.degree == 1:
+            return ExtScalar(field, (k.inv(self.coeffs[0]),))
+        d, u, _ = _poly_ext_gcd(k, _poly_trim(list(self.coeffs)), list(field.min_poly))
         if len(d) != 1:
             raise LocalFieldError("element not invertible; minimal polynomial reducible?")
-        u = _poly_mod(k, [k.div(c, d[0]) for c in u], list(self.field.min_poly))
-        u += [k.zero] * (self.field.degree - len(u))
-        return ExtScalar(self.field, tuple(u))
+        u = _poly_mod(k, [k.div(c, d[0]) for c in u], list(field.min_poly))
+        u += [k.zero] * (field.degree - len(u))
+        return ExtScalar(field, tuple(u))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -551,15 +563,14 @@ class ExtScalar:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self == self.field.from_fraction(other)
-        return (
-            isinstance(other, ExtScalar)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if isinstance(other, ExtScalar):
+            if other.field is not self.field and other.field != self.field:
+                return False
+        elif isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        else:
+            return False
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -644,18 +655,6 @@ def ext_trace(a):
 def ext_norm(a):
     """Norm of an extension scalar down to the base field."""
     return a.norm()
-
-
-def base_field(char):
-    return BaseField(char)
-
-
-def prime_field_ext(p, min_poly):
-    return make_extension(BaseField(p), min_poly)
-
-
-def rational_ext(min_poly):
-    return make_extension(BaseField(0), min_poly)
 
 
 QQ = BaseField(0)

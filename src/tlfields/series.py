@@ -23,6 +23,7 @@ from .errors import (
     LocalFieldError,
     NotUniformizers,
 )
+from .scalars import ExtScalar
 
 DEFAULT_WINDOW = 8
 
@@ -196,7 +197,7 @@ class Series:
             raise LocalFieldError("series have different depth or coefficient field")
 
     def __add__(self, other):
-        if isinstance(other, int) or type(other).__name__ == "ExtScalar":
+        if isinstance(other, (int, ExtScalar)):
             other = Series.constant(self.field, self.depth, other)
         self._check_compatible(other)
         if self.depth == 0:
@@ -214,12 +215,11 @@ class Series:
             end = max(self.order + len(self.coeffs), other.order + len(other.coeffs))
             exact = True
         n = max(0, end - start)
-        zero = Series.zero(self.field, self.depth - 1)
-        out = []
-        for k in range(start, start + n):
-            a = self._stored(k, zero)
-            b = other._stored(k, zero)
-            out.append(a + b)
+        a, zero, _ = self._level1_values()
+        b = other._level1_values()[0]
+        a = _pad(a, self.order - start, n, zero)
+        b = _pad(b, other.order - start, n, zero)
+        out = self._from_level1_values([x + y for x, y in zip(a, b)])
         if end < start:
             start = end
         return Series(self.field, self.depth, order=start, coeffs=out, exact=exact)
@@ -230,6 +230,23 @@ class Series:
         if self.order <= k < self.order + len(self.coeffs):
             return self.coeffs[k - self.order]
         return zero
+
+    def _level1_values(self):
+        """(values, zero, is_zero) for the level-1 kernels.
+
+        At depth 1 the values are the ExtScalars of the coefficients, so a
+        kernel does scalar arithmetic and wraps each result into a depth-0
+        series once, in _from_level1_values; deeper, they are the coefficient
+        series themselves.
+        """
+        if self.depth == 1:
+            return [c.scalar for c in self.coeffs], self.field.zero, ExtScalar.is_zero
+        return list(self.coeffs), Series.zero(self.field, self.depth - 1), Series.is_exact_zero
+
+    def _from_level1_values(self, values):
+        if self.depth == 1:
+            return [Series(self.field, 0, scalar=v) for v in values]
+        return values
 
     def __neg__(self):
         if self.depth == 0:
@@ -243,7 +260,7 @@ class Series:
         )
 
     def __sub__(self, other):
-        if isinstance(other, int) or type(other).__name__ == "ExtScalar":
+        if isinstance(other, (int, ExtScalar)):
             other = Series.constant(self.field, self.depth, other)
         return self + (-other)
 
@@ -266,7 +283,7 @@ class Series:
         )
 
     def __mul__(self, other):
-        if isinstance(other, int) or type(other).__name__ == "ExtScalar":
+        if isinstance(other, (int, ExtScalar)):
             return self.scalar_mul(other)
         self._check_compatible(other)
         if self.depth == 0:
@@ -286,16 +303,9 @@ class Series:
             end = start + len(self.coeffs) + len(other.coeffs) - 1
             exact = True
         n = max(0, end - start)
-        acc = [Series.zero(self.field, self.depth - 1) for _ in range(n)]
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_exact_zero():
-                continue
-            for j, dj in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if dj.is_exact_zero():
-                    continue
-                acc[i + j] = acc[i + j] + ci * dj
+        a, zero, is_zero = self._level1_values()
+        b = other._level1_values()[0]
+        acc = self._from_level1_values(_convolve(a, b, n, zero, is_zero))
         if end < start:
             start = end
         return Series(self.field, self.depth, order=start, coeffs=acc, exact=exact)
@@ -323,22 +333,18 @@ class Series:
                 coeffs=(c0.inv(window),),
                 exact=True,
             )
-        w = len(self.coeffs) if not self.exact else (window or DEFAULT_WINDOW)
-        zero = Series.zero(self.field, self.depth - 1)
-        c = [self._stored(self.order + k, zero) for k in range(w)]
-        d0 = c0.inv(window)
-        out = [d0]
-        for k in range(1, w):
-            s = Series.zero(self.field, self.depth - 1)
-            for i in range(1, k + 1):
-                if c[i].is_exact_zero():
-                    continue
-                s = s + c[i] * out[k - i]
-            out.append(-(d0 * s))
+        if not self.exact:
+            w = len(self.coeffs)
+        else:
+            w = DEFAULT_WINDOW if window is None else window
+        c, zero, is_zero = self._level1_values()
+        c = _pad(c, 0, w, zero)
+        d0 = c0.scalar.inv() if self.depth == 1 else c0.inv(window)
+        out = self._from_level1_values(_invert(c, d0, w, zero, is_zero))
         return Series(self.field, self.depth, order=-self.order, coeffs=out, exact=False)
 
     def __truediv__(self, other):
-        if isinstance(other, int) or type(other).__name__ == "ExtScalar":
+        if isinstance(other, (int, ExtScalar)):
             if isinstance(other, int):
                 other = self.field.from_int(other)
             return self.scalar_mul(other.inv())
@@ -504,6 +510,43 @@ def substitute(x, assignment, window=None):
     return x.substitute(assignment, window)
 
 
+def _pad(values, offset, n, zero):
+    """n values with values[m] at position offset + m and zero elsewhere."""
+    row = [zero] * n
+    lo = max(0, -offset)
+    hi = max(lo, min(len(values), n - offset))
+    row[lo + offset:hi + offset] = values[lo:hi]
+    return row
+
+
+def _convolve(a, b, n, zero, is_zero):
+    """The first n coefficients of the product of coefficient lists a and b."""
+    acc = [zero] * n
+    b_nonzero = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    for i, x in enumerate(a[:n]):
+        if is_zero(x):
+            continue
+        for j, y in b_nonzero:
+            if i + j >= n:
+                break
+            acc[i + j] = acc[i + j] + x * y
+    return acc
+
+
+def _invert(c, d0, w, zero, is_zero):
+    """The first w coefficients of 1 / sum c[k] t^k, given d0 = 1 / c[0]."""
+    out = [d0]
+    c_nonzero = [(i, x) for i, x in enumerate(c) if i and not is_zero(x)]
+    for k in range(1, w):
+        s = zero
+        for i, x in c_nonzero:
+            if i > k:
+                break
+            s = s + x * out[k - i]
+        out.append(-(d0 * s))
+    return out
+
+
 def check_uniformizer_valuations(assignment):
     """Require v(assignment[i]) to be the i-th standard basis vector."""
     n = len(assignment)
@@ -599,7 +642,10 @@ def newton_inverse_1d(a, window=None):
         # a = c t inverts exactly to c^{-1} t
         c = a.coefficient_at((1,))
         return Series(a.field, 1, order=1, coeffs=(Series(a.field, 0, scalar=c.inv()),))
-    w = window or (len(a.coeffs) if not a.exact else DEFAULT_WINDOW)
+    if window is not None:
+        w = window
+    else:
+        w = len(a.coeffs) if not a.exact else DEFAULT_WINDOW
     field = a.field
     t = Series.generator(field, 1, 1)
     c1 = a.coefficient_at((1,))

@@ -40,6 +40,8 @@ class TlfDescriptor:
             raise LocalFieldError("dimension must be nonnegative")
         if not isinstance(field, ExtField):
             raise LocalFieldError("last residue field must be an ExtField")
+        if not isinstance(window, int) or window < 1:
+            raise LocalFieldError(f"precision window must be an integer >= 1, got {window!r}")
         self.n = n
         self.field = field
         self.window = window
@@ -183,7 +185,7 @@ def parametrize(descriptor, system, window=None):
     """
     if not isinstance(system, UniformizerSystem):
         system = validate_uniformizers(descriptor, system)
-    w = window or descriptor.window
+    w = descriptor.window if window is None else window
     n = descriptor.n
     if n == 0:
         return SubstitutionIso(system, (), w)
@@ -441,7 +443,7 @@ def sigma_expand(x, sigma1, a1=None, window=None):
         return [(c, x.order + k) for k, c in enumerate(x.coeffs)]
     if x.is_exact_zero():
         return []
-    w = window or DEFAULT_WINDOW
+    w = DEFAULT_WINDOW if window is None else window
     if a1 is None:
         a1 = Series.generator(field, x.depth, 1)
     try:
@@ -669,7 +671,7 @@ def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=No
             raise BasisNotFiltered(
                 f"basis element {i} has t_1-degree {v[0]}; filtered basis needs degree {i}"
             )
-    w = window or descriptor.window
+    w = descriptor.window if window is None else window
     l = quotient.exponent
     inv_basis = [m.inv(w) for m in basis]
 

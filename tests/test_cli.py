@@ -164,6 +164,22 @@ class TestCommands:
                             "t1^-6 * inv(1-t1) * d(t1)")
         assert code == 3
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_rejected_at_parsing(self, capsys, window):
+        with pytest.raises(SystemExit) as ei:
+            main(["residue", "--window", window, "inv(1-t1)*t1^-8*d(t1)"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window" in captured.err
+
+    def test_certify_cancelling_differentials(self, capsys):
+        code, out = run_cli(capsys, "certify", "--n", "1", "--target", "1,2", "d1 - d1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is True
+        assert data["replayed"] is True
+
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")
         _, out2 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")

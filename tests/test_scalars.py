@@ -2,11 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tlfields.errors import DivisionByZero, ReduciblePolynomial
+from tlfields.errors import DivisionByZero, LocalFieldError, ReduciblePolynomial
 from tlfields.scalars import (
     BaseField,
     ExtField,
+    ExtScalar,
+    _poly_add,
+    _poly_ext_gcd,
+    _poly_mod,
+    _poly_mul,
+    _poly_trim,
     ext_norm,
     ext_trace,
     make_extension,
@@ -158,3 +165,93 @@ class TestBaseField:
     def test_fp_lift(self):
         k = BaseField(5)
         assert k.from_fraction(Fraction(1, 2)) == 3  # 2*3 = 6 = 1 mod 5
+
+
+# -- degree-1 fast paths against the generic polynomial route ---------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# k[x]/(x) and k[x]/(x - 3) over QQ and F_5: both are k itself
+DEGREE_ONE = [make_extension(char, poly) for char in (0, 5) for poly in ([0, 1], [-3, 1])]
+
+
+def _raw(field):
+    if field.char:
+        return st.integers(0, field.char - 1)
+    return st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _degree_one_pair(draw):
+    field = draw(st.sampled_from(DEGREE_ONE))
+    a = ExtScalar(field, (draw(_raw(field)),))
+    b = ExtScalar(field, (draw(_raw(field)),))
+    return field, a, b
+
+
+def _padded(field, poly):
+    return tuple(poly) + (field.base.zero,) * (field.degree - len(poly))
+
+
+def _generic_add(field, a, b):
+    return _padded(field, _poly_add(field.base, list(a.coeffs), list(b.coeffs)))
+
+
+def _generic_sub(field, a, b):
+    k = field.base
+    return _padded(field, _poly_add(k, list(a.coeffs), [k.neg(c) for c in b.coeffs]))
+
+
+def _generic_mul(field, a, b):
+    k = field.base
+    prod = _poly_mul(k, list(a.coeffs), list(b.coeffs))
+    return _padded(field, _poly_mod(k, prod, list(field.min_poly)))
+
+
+def _generic_inv(field, a):
+    k = field.base
+    d, u, _ = _poly_ext_gcd(k, _poly_trim(list(a.coeffs)), list(field.min_poly))
+    assert len(d) == 1
+    return _padded(field, _poly_mod(k, [k.div(c, d[0]) for c in u], list(field.min_poly)))
+
+
+class TestDegreeOneFastPath:
+    @PROPERTY
+    @given(_degree_one_pair())
+    def test_ring_ops_match_generic_route(self, case):
+        field, a, b = case
+        assert (a + b).coeffs == _generic_add(field, a, b)
+        assert (a - b).coeffs == _generic_sub(field, a, b)
+        assert (-a).coeffs == _generic_sub(field, field.zero, a)
+        assert (a * b).coeffs == _generic_mul(field, a, b)
+        for result in (a + b, a - b, -a, a * b):
+            assert result.field is field and len(result.coeffs) == 1
+
+    @PROPERTY
+    @given(_degree_one_pair())
+    def test_inverse_matches_generic_route(self, case):
+        field, a, _ = case
+        if a.is_zero():
+            with pytest.raises(DivisionByZero):
+                a.inv()
+            return
+        assert a.inv().coeffs == _generic_inv(field, a)
+        assert (a * a.inv()).coeffs == field.one.coeffs
+
+    @PROPERTY
+    @given(_degree_one_pair(), st.integers(-12, 12))
+    def test_equality_and_zero_test(self, case, n):
+        field, a, b = case
+        assert (a == b) == (a.coeffs == b.coeffs)
+        assert a.is_zero() == (a.coeffs[0] == 0)
+        assert (a == n) == (a.coeffs == field.from_int(n).coeffs)
+        twin = ExtField(field.base, list(field.min_poly))  # equal field, other object
+        assert twin is not field and twin == field
+        assert a == ExtScalar(twin, a.coeffs)
+        assert (a + ExtScalar(twin, b.coeffs)).coeffs == _generic_add(field, a, b)
+
+    def test_mixed_fields_rejected(self):
+        q, f5 = make_extension(0, [0, 1]), make_extension(5, [0, 1])
+        assert q.one != f5.one
+        with pytest.raises(LocalFieldError):
+            q.one + f5.one

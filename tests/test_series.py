@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlfields.errors import (
     DivisionByZero,
@@ -8,7 +9,7 @@ from tlfields.errors import (
     InsufficientPrecision,
     NotUniformizers,
 )
-from tlfields.scalars import make_extension
+from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
     agree_within_window,
@@ -30,6 +31,41 @@ def F5():
 
 def S(field, depth, terms):
     return Series.from_terms(field, depth, terms)
+
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# QQ, F_5 and F_25 = F5[x]/(x^2-2): the degree-1 and the generic scalar paths
+KERNEL_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1]),
+                 make_extension(5, [-2, 0, 1])]
+
+
+def _scalar(field):
+    if field.char:
+        raw = st.integers(0, field.char - 1)
+    else:
+        raw = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.tuples(*[raw] * field.degree).map(lambda c: ExtScalar(field, c))
+
+
+def _depth_one(field, exact=None):
+    """A depth-1 series with up to six stored coefficients, some of them zero."""
+    exactness = st.booleans() if exact is None else st.just(exact)
+    return st.builds(
+        lambda order, values, ex: Series(
+            field, 1, order=order, coeffs=[Series(field, 0, scalar=v) for v in values],
+            exact=ex,
+        ),
+        st.integers(-3, 3),
+        st.lists(st.one_of(st.just(field.zero), _scalar(field)), min_size=1, max_size=6),
+        exactness,
+    )
+
+
+@st.composite
+def _depth_one_pair(draw, first_exact=None):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    return field, draw(_depth_one(field, first_exact)), draw(_depth_one(field))
 
 
 class TestNormalForm:
@@ -345,6 +381,98 @@ class TestWindowSoundness:
             img_full = x_full.substitute(system, window=14)
             self._compare(img_win, img_full)
             checked += 1
+
+
+    @PROPERTY
+    @given(_depth_one_pair(first_exact=True), st.integers(1, 5))
+    def test_depth_one_kernels(self, case, cut):
+        """Depth-1 mul, add and inv over QQ, F_5 and F_25 against a wider window."""
+        _, x_full, y = case
+        if x_full.is_exact_zero():
+            return
+        x_win = truncate_level1(x_full, x_full.order + cut)
+        self._compare(x_win * y, x_full * y)
+        self._compare(x_win + y, x_full + y)
+        self._compare(y + x_win, y + x_full)
+        try:
+            inv_win = x_win.inv(6)
+        except InsufficientPrecision:
+            return
+        self._compare(inv_win, x_full.inv(12))
+
+
+def _by_exponent(x):
+    return {x.order + k: c.scalar for k, c in enumerate(x.coeffs)}
+
+
+def _expected_end(ends):
+    ends = [e for e in ends if e is not None]
+    return min(ends) if ends else None
+
+
+def _assert_coefficients(result, reference, zero):
+    """result agrees with reference on every exponent it guarantees."""
+    exps = list(reference) + [result.order, result.order + len(result.coeffs)]
+    hi = result.end if result.end is not None else max(exps) + 2
+    for k in range(min(exps) - 2, hi):
+        assert result.coefficient_at((k,)) == reference.get(k, zero), k
+
+
+class TestDepthOneKernels:
+    """Depth-1 mul, add and inv equal plain coefficient arithmetic."""
+
+    @PROPERTY
+    @given(_depth_one_pair())
+    def test_mul_is_convolution(self, case):
+        field, x, y = case
+        product = {}
+        for i, a in _by_exponent(x).items():
+            for j, b in _by_exponent(y).items():
+                product[i + j] = product.get(i + j, field.zero) + a * b
+        p = x * y
+        if x.is_exact_zero() or y.is_exact_zero():
+            assert p.is_exact_zero()
+            return
+        assert p.end == _expected_end([
+            None if x.end is None else x.end + y.order,
+            None if y.end is None else y.end + x.order,
+        ])
+        _assert_coefficients(p, product, field.zero)
+
+    @PROPERTY
+    @given(_depth_one_pair())
+    def test_add_is_coefficientwise(self, case):
+        field, x, y = case
+        total = _by_exponent(x)
+        for k, b in _by_exponent(y).items():
+            total[k] = total.get(k, field.zero) + b
+        s = x + y
+        assert s.end == _expected_end([x.end, y.end])
+        _assert_coefficients(s, total, field.zero)
+        difference = _by_exponent(x)
+        for k, b in _by_exponent(y).items():
+            difference[k] = difference.get(k, field.zero) - b
+        _assert_coefficients(x - y, difference, field.zero)
+
+    @PROPERTY
+    @given(_depth_one_pair(), st.integers(1, 10))
+    def test_inv_solves_the_convolution(self, case, window):
+        field, x, _ = case
+        if x.is_exact_zero() or not x.coeffs:
+            return
+        q = x.inv(window)
+        assert q.order == -x.order
+        if x.exact and len(x.coeffs) == 1:
+            assert q.exact and len(q.coeffs) == 1
+        else:
+            assert not q.exact
+            assert len(q.coeffs) == (window if x.exact else len(x.coeffs))
+        xs, qs = _by_exponent(x), _by_exponent(q)
+        for k in range(len(q.coeffs)):
+            acc = field.zero
+            for i in range(k + 1):
+                acc = acc + xs.get(x.order + i, field.zero) * qs[q.order + k - i]
+            assert acc == (field.one if k == 0 else field.zero), k
 
 
 class TestCompositionalInverse:

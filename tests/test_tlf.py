@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tlfields.errors import CharacteristicObstruction, NotUniformizers
+from tlfields.errors import CharacteristicObstruction, LocalFieldError, NotUniformizers
 from tlfields.scalars import make_extension
 from tlfields.series import Series, agree_within_window, random_series, truncate_level1
 from tlfields.tlf import (
@@ -38,6 +38,16 @@ def K2(Q):
 @pytest.fixture
 def K2_F5(F5):
     return TlfDescriptor(2, F5)
+
+
+class TestDescriptor:
+    @pytest.mark.parametrize("window", [0, -3, None, 2.5])
+    def test_window_below_one_rejected(self, Q, window):
+        with pytest.raises(LocalFieldError):
+            TlfDescriptor(2, Q, window)
+
+    def test_window_one_accepted(self, Q):
+        assert TlfDescriptor(2, Q, 1).window == 1
 
 
 class TestValidateUniformizers:
