@@ -67,7 +67,6 @@ from .bt_ops import (
     LevelProjection,
     MulBy,
     ScalarMul,
-    apply_operator,
     certify_membership,
     cubical_projectors,
     decompose_identity,

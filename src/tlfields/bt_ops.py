@@ -6,12 +6,21 @@ order 0), level projections relative to a lifting system, coefficientwise
 lifts, and explicit finite-rank maps, combined by composition, addition and
 scalar multiple.
 
+Each node class carries its own part of every analysis: evaluation, band and
+shift bounds, the image lower bound, the killed-lattice restriction, the
+quotient pushdown, rebinding to another lifting system, and JSON.  Nodes are
+compared and hashed by structure (class and constructor fields, lifting
+systems by their JSON form), so equal subtrees built apart cancel in the
+lattice analysis.
+
 Membership in the ring of local operators and its per-level ideals is
 *certified*, never decided: every certificate carries band bounds and witness
 data that imply the quantified lattice conditions for this structured class,
 and can be replayed against a probe set.  Level >= 2 targets are certified
 recursively through induced quotient maps on a canonical refinement ladder.
 """
+
+import json
 
 from .errors import (
     CharacteristicObstruction,
@@ -21,12 +30,16 @@ from .errors import (
     NotReduced,
 )
 from .scalars import ext_trace
-from .series import Series
+from .series import Series, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
 
 
 class OperatorExpr:
-    """Base class for nodes of the operator tree; immutable."""
+    """Base class for nodes of the operator tree; immutable.
+
+    The analyses below are defined by every node class of the closed class;
+    these fallbacks refuse a node outside it by name.
+    """
 
     def __init__(self, descriptor):
         self.descriptor = descriptor
@@ -34,16 +47,69 @@ class OperatorExpr:
     def apply(self, x, window=None):
         raise NotImplementedError
 
+    def _outside(self):
+        return NotCertifiable(
+            f"operator node {type(self).__name__} is outside the closed class"
+        )
+
     def band1(self):
-        """d with v_1(phi x) >= v_1(x) - d, or None when no bound is certified."""
-        raise NotImplementedError
+        """d with v_1(phi x) >= v_1(x) - d."""
+        raise self._outside()
 
     def shift_interval(self):
-        """(lo, hi): t_1-exponent shifts the operator can apply; hi may be None."""
-        raise NotImplementedError
+        """(lo, hi): t_1-exponent shifts the operator can apply; None for an absolute range."""
+        raise self._outside()
 
-    def compose(self, other):
-        return Compose([self, other])
+    def image_lb(self, in_lb):
+        """Lower bound for v_1 of the image over inputs with v_1 >= in_lb (None = all of K)."""
+        raise self._outside()
+
+    def kill_shift(self, s, out):
+        """v_1 shift of inputs with v_1 >= s; appends to out the cutoffs m >= k - s
+        that decide every projection and finite-rank node."""
+        raise self._outside()
+
+    def chains(self, m):
+        """Chains equivalent to the node on inputs with v_1 >= m.
+
+        A chain is a tuple of nodes in outermost-first application order;
+        adjacent multiplications are merged later, every other node is an
+        opaque atom.
+        """
+        raise self._outside()
+
+    def pushdown(self, lo, hi):
+        """Matrix of the induced map on the basis {a^q : lo <= q < hi} of
+        a^lo O_1 / a^hi O_1, entries as depth-(n-1) OperatorExprs.
+
+        Sound for standard level-1 liftings; twisted level-1 liftings are
+        refused (certification under them is out of the structured class).
+        """
+        raise self._outside()
+
+    def rebind(self, system):
+        """Copy of the tree with every projection and lift bound to the given system."""
+        return self
+
+    def multiplier(self):
+        """The element of K the node multiplies by, or None."""
+        return None
+
+    def to_json(self):
+        raise LocalFieldError(f"cannot serialize {type(self).__name__}")
+
+    def _fields(self):
+        """Constructor fields that determine the node; a foreign node equals only itself."""
+        return (id(self),)
+
+    def _key(self):
+        return (type(self),) + self._fields()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __add__(self, other):
         return AddOp([self, other])
@@ -55,6 +121,14 @@ class OperatorExpr:
         return self.apply(x, window)
 
 
+def _system_key(sigma):
+    return json.dumps(sigma.to_json(), sort_keys=True)
+
+
+def _add_entry(matrix, key, op):
+    matrix[key] = AddOp([matrix[key], op]) if key in matrix else op
+
+
 class MulBy(OperatorExpr):
     """Multiplication by a fixed element of K."""
 
@@ -63,6 +137,9 @@ class MulBy(OperatorExpr):
         if f.depth != descriptor.n or f.field != descriptor.field:
             raise LocalFieldError("multiplier has the wrong ambient field")
         self.f = f
+
+    def _fields(self):
+        return (self.descriptor, self.f)
 
     def apply(self, x, window=None):
         return self.f * x
@@ -80,6 +157,41 @@ class MulBy(OperatorExpr):
         lo = self.f.order
         hi = self.f.end if self.f.end is not None else self.f.order + len(self.f.coeffs)
         return (lo, hi)
+
+    def image_lb(self, in_lb):
+        if self.f.is_exact_zero():
+            return 10 ** 9
+        from .lattices import level1_valuation
+
+        v = level1_valuation(self.f)
+        return None if in_lb is None else in_lb + v
+
+    def kill_shift(self, s, out):
+        return s + (self.f.order if not self.f.is_exact_zero() else 0)
+
+    def chains(self, m):
+        return [(self,)]
+
+    def pushdown(self, lo, hi):
+        sub_desc = self.descriptor.residue_descriptor()
+        out = {}
+        for q_in in range(lo, hi):
+            for q_out in range(lo, hi):
+                try:
+                    fu = self.f.coefficient_level1(q_out - q_in)
+                except InsufficientPrecision:
+                    raise NotCertifiable(
+                        "multiplier window too small for the quotient pushdown"
+                    )
+                if not fu.is_exact_zero():
+                    out[(q_out, q_in)] = MulBy(sub_desc, fu)
+        return out
+
+    def multiplier(self):
+        return self.f
+
+    def to_json(self):
+        return {"op": "mulby", "f": self.f.to_json()}
 
     def __repr__(self):
         return f"mul({self.f!r})"
@@ -103,6 +215,9 @@ class DiffOp(OperatorExpr):
     def partial(cls, descriptor, axis):
         I = tuple(1 if i == axis - 1 else 0 for i in range(descriptor.n))
         return cls(descriptor, [(descriptor.one(), I)])
+
+    def _fields(self):
+        return (self.descriptor, self.terms)
 
     def apply(self, x, window=None):
         out = Series.zero(x.field, x.depth)
@@ -135,11 +250,85 @@ class DiffOp(OperatorExpr):
             hi = chi if hi is None else max(hi, chi)
         return (lo or 0, hi if hi is not None else 0)
 
-    def order1(self):
-        return max((I[0] for c, I in self.terms if not c.is_exact_zero()), default=0)
+    def image_lb(self, in_lb):
+        b = self.band1()
+        return None if in_lb is None else in_lb - b
+
+    def kill_shift(self, s, out):
+        return s + self.shift_interval()[0]
+
+    def chains(self, m):
+        return [(self,)]
+
+    def pushdown(self, lo, hi):
+        sub_desc = self.descriptor.residue_descriptor()
+        out = {}
+        for c, I in self.terms:
+            if c.is_exact_zero():
+                continue
+            i1 = I[0]
+            inner_I = I[1:]
+            for q_in in range(lo, hi):
+                # d_1^{i1} on a^q gives the falling factorial in q
+                factor = 1
+                for s in range(i1):
+                    factor *= (q_in - s)
+                if factor == 0:
+                    continue
+                mid = q_in - i1
+                for q_out in range(lo, hi):
+                    try:
+                        cu = c.coefficient_level1(q_out - mid)
+                    except InsufficientPrecision:
+                        raise NotCertifiable("coefficient window too small for pushdown")
+                    if cu.is_exact_zero():
+                        continue
+                    entry = MulBy(sub_desc, cu)
+                    if any(inner_I):
+                        entry = Compose([entry, DiffOp(sub_desc, [(sub_desc.one(), inner_I)])])
+                    entry = ScalarMul(sub_desc.field.from_int(factor), entry)
+                    _add_entry(out, (q_out, q_in), entry)
+        return out
+
+    def to_json(self):
+        return {
+            "op": "diff",
+            "terms": [{"c": c.to_json(), "orders": list(I)} for c, I in self.terms],
+        }
 
     def __repr__(self):
         return "diff(" + ", ".join(f"{c!r}*d^{list(I)}" for c, I in self.terms) + ")"
+
+
+def _map_coefficients(x, sigma1, act, window):
+    """Reassemble x with act(b_q, q) in place of each sigma_1-expansion coefficient b_q."""
+    if x.is_exact_zero():
+        return x
+    if sigma1.is_standard():
+        coeffs = [act(c, x.order + k) for k, c in enumerate(x.coeffs)]
+        return Series(x.field, x.depth, order=x.order, coeffs=coeffs, exact=x.exact)
+    acc = Series.zero(x.field, x.depth)
+    t1 = Series.generator(x.field, x.depth, 1)
+    for bq, q in sigma_expand(x, sigma1, window=window):
+        y = act(bq, q)
+        if not y.is_exact_zero():
+            acc = acc + sigma1.apply(y) * t1.__pow__(q)
+    # the expansion covered a finite window; cap the claim accordingly
+    stop = x.end if x.end is not None else x.order + window
+    return truncate_level1(acc, stop)
+
+
+def _project(x, level, keep, sigma, window):
+    if level == 1:
+        zero = Series.zero(x.field, x.depth - 1)
+        return _map_coefficients(
+            x, sigma.sigma1, lambda c, q: c if keep(q) else zero, window
+        )
+    # level >= 2: act coefficientwise through the level-1 expansion
+    sub = sigma.d1()
+    return _map_coefficients(
+        x, sigma.sigma1, lambda c, q: _project(c, level - 1, keep, sub, window), window
+    )
 
 
 class LevelProjection(OperatorExpr):
@@ -158,6 +347,9 @@ class LevelProjection(OperatorExpr):
         self.cutoff = cutoff
         self.sigma = sigma
 
+    def _fields(self):
+        return (self.descriptor, self.level, self.cmp, self.cutoff, _system_key(self.sigma))
+
     def _keep(self, q):
         return q >= self.cutoff if self.cmp == ">=" else q < self.cutoff
 
@@ -171,48 +363,41 @@ class LevelProjection(OperatorExpr):
     def shift_interval(self):
         return (0, 0)
 
+    def image_lb(self, in_lb):
+        if self.level == 1 and self.cmp == ">=":
+            return self.cutoff if in_lb is None else max(self.cutoff, in_lb)
+        return in_lb
+
+    def kill_shift(self, s, out):
+        if self.level == 1:
+            out.append(self.cutoff - s)
+        return s
+
+    def chains(self, m):
+        if self.level == 1 and m >= self.cutoff:
+            return [()] if self.cmp == ">=" else []
+        return [(self,)]
+
+    def pushdown(self, lo, hi):
+        sub_desc = self.descriptor.residue_descriptor()
+        if self.level == 1:
+            one = MulBy(sub_desc, sub_desc.one())
+            return {(q, q): one for q in range(lo, hi) if self._keep(q)}
+        if not self.sigma.sigma1.is_standard():
+            raise NotCertifiable("pushdown under a twisted level-1 lifting")
+        inner = LevelProjection(
+            sub_desc, self.level - 1, self.cmp, self.cutoff, self.sigma.d1()
+        )
+        return {(q, q): inner for q in range(lo, hi)}
+
+    def rebind(self, system):
+        return LevelProjection(self.descriptor, self.level, self.cmp, self.cutoff, system)
+
+    def to_json(self):
+        return {"op": "proj", "level": self.level, "cmp": self.cmp, "cutoff": self.cutoff}
+
     def __repr__(self):
         return f"proj{self.level}({self.cmp}{self.cutoff})"
-
-
-def _project(x, level, keep, sigma, window):
-    if x.is_exact_zero():
-        return x
-    if level == 1:
-        if sigma.sigma1.is_standard():
-            zero = Series.zero(x.field, x.depth - 1)
-            coeffs = [
-                c if keep(x.order + k) else zero for k, c in enumerate(x.coeffs)
-            ]
-            return Series(x.field, x.depth, order=x.order, coeffs=coeffs, exact=x.exact)
-        pairs = sigma_expand(x, sigma.sigma1, window=window)
-        acc = Series.zero(x.field, x.depth)
-        t1 = Series.generator(x.field, x.depth, 1)
-        for bq, q in pairs:
-            if keep(q):
-                acc = acc + sigma.sigma1.apply(bq) * t1.__pow__(q)
-        # the expansion covered a finite window; cap the claim accordingly
-        from .series import truncate_level1
-
-        stop = x.end if x.end is not None else x.order + window
-        return truncate_level1(acc, stop)
-    # level >= 2: act coefficientwise through the level-1 expansion
-    sub = sigma.d1()
-    if sigma.sigma1.is_standard():
-        coeffs = [
-            _project(c, level - 1, keep, sub, window) for c in x.coeffs
-        ]
-        return Series(x.field, x.depth, order=x.order, coeffs=coeffs, exact=x.exact)
-    pairs = sigma_expand(x, sigma.sigma1, window=window)
-    acc = Series.zero(x.field, x.depth)
-    t1 = Series.generator(x.field, x.depth, 1)
-    for bq, q in pairs:
-        proj = _project(bq, level - 1, keep, sub, window)
-        acc = acc + sigma.sigma1.apply(proj) * t1.__pow__(q)
-    from .series import truncate_level1
-
-    stop = x.end if x.end is not None else x.order + window
-    return truncate_level1(acc, stop)
 
 
 class CoeffLift(OperatorExpr):
@@ -225,28 +410,41 @@ class CoeffLift(OperatorExpr):
         if inner.descriptor.n != descriptor.n - 1:
             raise LocalFieldError("inner operator must live one level down")
 
-    def apply(self, x, window=None):
-        if x.is_exact_zero():
-            return x
-        w = self.descriptor.window if window is None else window
-        if self.sigma.sigma1.is_standard():
-            coeffs = [self.inner.apply(c, w) for c in x.coeffs]
-            return Series(x.field, x.depth, order=x.order, coeffs=coeffs, exact=x.exact)
-        pairs = sigma_expand(x, self.sigma.sigma1, window=w)
-        acc = Series.zero(x.field, x.depth)
-        t1 = Series.generator(x.field, x.depth, 1)
-        for bq, q in pairs:
-            acc = acc + self.sigma.sigma1.apply(self.inner.apply(bq, w)) * t1.__pow__(q)
-        from .series import truncate_level1
+    def _fields(self):
+        return (self.descriptor, self.inner, _system_key(self.sigma))
 
-        stop = x.end if x.end is not None else x.order + w
-        return truncate_level1(acc, stop)
+    def apply(self, x, window=None):
+        w = self.descriptor.window if window is None else window
+        return _map_coefficients(
+            x, self.sigma.sigma1, lambda c, q: self.inner.apply(c, w), w
+        )
 
     def band1(self):
+        self.inner.band1()  # refuses an inner tree outside the closed class
         return 0
 
     def shift_interval(self):
         return (0, 0)
+
+    def image_lb(self, in_lb):
+        return in_lb
+
+    def kill_shift(self, s, out):
+        return s
+
+    def chains(self, m):
+        return [(self,)]
+
+    def pushdown(self, lo, hi):
+        if not self.sigma.sigma1.is_standard():
+            raise NotCertifiable("pushdown under a twisted level-1 lifting")
+        return {(q, q): self.inner for q in range(lo, hi)}
+
+    def rebind(self, system):
+        return CoeffLift(self.descriptor, self.inner, system)
+
+    def to_json(self):
+        return {"op": "coefflift", "inner": self.inner.to_json()}
 
     def __repr__(self):
         return f"lift({self.inner!r})"
@@ -263,6 +461,9 @@ class FiniteRank(OperatorExpr):
         for (o, i) in self.matrix:
             if len(o) != descriptor.n or len(i) != descriptor.n:
                 raise LocalFieldError("matrix indices must match the ambient depth")
+
+    def _fields(self):
+        return (self.descriptor, tuple(sorted(self.matrix.items())))
 
     def apply(self, x, window=None):
         desc = self.descriptor
@@ -294,6 +495,40 @@ class FiniteRank(OperatorExpr):
         ins = [i[0] for (o, i) in self.matrix]
         return (min(ins), max(ins) + 1)
 
+    def image_lb(self, in_lb):
+        if not self.matrix:
+            return 10 ** 9
+        return self.out_range1()[0]
+
+    def kill_shift(self, s, out):
+        out.append(self.in_range1()[1] - s)
+        return s
+
+    def chains(self, m):
+        return [] if m >= self.in_range1()[1] else [(self,)]
+
+    def pushdown(self, lo, hi):
+        sub_desc = self.descriptor.residue_descriptor()
+        out = {}
+        for (o, i), v in self.matrix.items():
+            if not (lo <= o[0] < hi and lo <= i[0] < hi):
+                if lo <= i[0] < hi and o[0] >= hi:
+                    continue  # lands in the killed part of the quotient
+                if lo <= i[0] < hi and o[0] < lo:
+                    raise NotCertifiable("finite-rank image escapes the quotient window")
+                continue
+            _add_entry(out, (o[0], i[0]), FiniteRank(sub_desc, {(o[1:], i[1:]): v}))
+        return out
+
+    def to_json(self):
+        return {
+            "op": "finrank",
+            "entries": [
+                {"out": list(o), "in": list(i), "value": [str(c) for c in v.coeffs]}
+                for (o, i), v in sorted(self.matrix.items())
+            ],
+        }
+
     def __repr__(self):
         return f"finrank({len(self.matrix)} entries)"
 
@@ -310,19 +545,16 @@ class Compose(OperatorExpr):
                 flat.append(p)
         self.parts = tuple(flat)
 
+    def _fields(self):
+        return self.parts
+
     def apply(self, x, window=None):
         for p in reversed(self.parts):
             x = p.apply(x, window)
         return x
 
     def band1(self):
-        total = 0
-        for p in self.parts:
-            b = p.band1()
-            if b is None:
-                return None
-            total += b
-        return total
+        return sum(p.band1() for p in self.parts)
 
     def shift_interval(self):
         cur = (0, 1)
@@ -333,6 +565,63 @@ class Compose(OperatorExpr):
             else:
                 cur = (cur[0] + s[0], cur[1] + s[1] - 1)
         return cur
+
+    def image_lb(self, in_lb):
+        for p in reversed(self.parts):
+            in_lb = p.image_lb(in_lb)
+        return in_lb
+
+    def kill_shift(self, s, out):
+        for p in reversed(self.parts):
+            s = p.kill_shift(s, out)
+        return s
+
+    def chains(self, m):
+        # innermost-first, to learn the incoming shift of each part
+        shifts = []
+        for p in reversed(self.parts):
+            shifts.append(m)
+            m = p.kill_shift(m, [])
+        chains = [()]
+        for p, s_in in zip(self.parts, reversed(shifts)):
+            chains = [c + pc for c in chains for pc in p.chains(s_in)]
+        return chains
+
+    def pushdown(self, lo, hi):
+        # extend the working range so intermediate images are not clipped;
+        # finite-rank parts contribute their absolute index ranges
+        margin = 0
+        for p in self.parts:
+            si = p.shift_interval()
+            if si is None:
+                orr, irr = p.out_range1(), p.in_range1()
+                up = max(abs(orr[0]), abs(orr[1]), abs(irr[0]), abs(irr[1]))
+            else:
+                up = max(abs(si[0]), abs(si[1]))
+            margin += max(p.band1(), up) + 1
+        wide_lo, wide_hi = lo - margin, hi + margin
+        acc = None
+        for mat in reversed([p.pushdown(wide_lo, wide_hi) for p in self.parts]):
+            if acc is None:
+                acc = mat
+                continue
+            new = {}
+            for (q_mid, q_in), op_in in acc.items():
+                for (q_out, q_mid2), op_out in mat.items():
+                    if q_mid2 == q_mid:
+                        _add_entry(new, (q_out, q_in), Compose([op_out, op_in]))
+            acc = new
+        return {
+            (o, i): op
+            for (o, i), op in acc.items()
+            if lo <= i < hi and lo <= o < hi
+        }
+
+    def rebind(self, system):
+        return Compose([p.rebind(system) for p in self.parts])
+
+    def to_json(self):
+        return {"op": "compose", "parts": [p.to_json() for p in self.parts]}
 
     def __repr__(self):
         return " . ".join(repr(p) for p in self.parts)
@@ -350,6 +639,9 @@ class AddOp(OperatorExpr):
                 flat.append(p)
         self.parts = tuple(flat)
 
+    def _fields(self):
+        return self.parts
+
     def apply(self, x, window=None):
         out = Series.zero(x.field, x.depth)
         for p in self.parts:
@@ -357,13 +649,7 @@ class AddOp(OperatorExpr):
         return out
 
     def band1(self):
-        worst = 0
-        for p in self.parts:
-            b = p.band1()
-            if b is None:
-                return None
-            worst = max(worst, b)
-        return worst
+        return max(0, *(p.band1() for p in self.parts))
 
     def shift_interval(self):
         lo, hi = None, None
@@ -374,6 +660,31 @@ class AddOp(OperatorExpr):
             lo = s[0] if lo is None else min(lo, s[0])
             hi = s[1] if hi is None else max(hi, s[1])
         return (lo, hi)
+
+    def image_lb(self, in_lb):
+        lows = [p.image_lb(in_lb) for p in self.parts]
+        if any(v is None for v in lows):
+            return None
+        return min(lows)
+
+    def kill_shift(self, s, out):
+        return min([p.kill_shift(s, out) for p in self.parts])
+
+    def chains(self, m):
+        return [c for p in self.parts for c in p.chains(m)]
+
+    def pushdown(self, lo, hi):
+        out = {}
+        for p in self.parts:
+            for k, op in p.pushdown(lo, hi).items():
+                _add_entry(out, k, op)
+        return out
+
+    def rebind(self, system):
+        return AddOp([p.rebind(system) for p in self.parts])
+
+    def to_json(self):
+        return {"op": "add", "parts": [p.to_json() for p in self.parts]}
 
     def __repr__(self):
         return " + ".join(repr(p) for p in self.parts)
@@ -387,25 +698,46 @@ class ScalarMul(OperatorExpr):
         self.scalar = scalar
         self.part = part
 
+    def _fields(self):
+        return (self.scalar, self.part)
+
     def apply(self, x, window=None):
         return self.part.apply(x, window).scalar_mul(self.scalar)
 
     def band1(self):
-        return 0 if self.scalar.is_zero() else self.part.band1()
+        band = self.part.band1()  # computed even for 0, to refuse a part outside the class
+        return 0 if self.scalar.is_zero() else band
 
     def shift_interval(self):
         return self.part.shift_interval()
 
+    def image_lb(self, in_lb):
+        if self.scalar.is_zero():
+            return 10 ** 9
+        return self.part.image_lb(in_lb)
+
+    def kill_shift(self, s, out):
+        return self.part.kill_shift(s, out)
+
+    def chains(self, m):
+        const = MulBy(self.descriptor, self.descriptor.constant(self.scalar))
+        return [(const,) + c for c in self.part.chains(m)]
+
+    def pushdown(self, lo, hi):
+        return {k: ScalarMul(self.scalar, op) for k, op in self.part.pushdown(lo, hi).items()}
+
+    def rebind(self, system):
+        return ScalarMul(self.scalar, self.part.rebind(system))
+
+    def to_json(self):
+        return {
+            "op": "scalarmul",
+            "scalar": [str(c) for c in self.scalar.coeffs],
+            "part": self.part.to_json(),
+        }
+
     def __repr__(self):
         return f"{self.scalar!r}·({self.part!r})"
-
-
-def identity_op(descriptor):
-    return MulBy(descriptor, descriptor.one())
-
-
-def apply_operator(phi, x, window=None):
-    return phi.apply(x, window)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +855,7 @@ def _default_probes(descriptor, count=6, seed=7):
 def certify_membership(phi, target, ladder_depth=3, window=None):
     """Certify membership structurally; NotCertifiable is not a disproof."""
     if target == "E":
-        band = phi.band1()
-        if band is None:
-            raise NotCertifiable("no band bound for level 1")
-        _check_class(phi)
-        return Certificate(phi, "E", band=band)
+        return Certificate(phi, "E", band=phi.band1())
     i, j = target
     n = phi.descriptor.n
     if not (1 <= i <= n) or j not in (1, 2):
@@ -535,7 +863,7 @@ def certify_membership(phi, target, ladder_depth=3, window=None):
     base = certify_membership(phi, "E", ladder_depth, window)
     if i == 1:
         if j == 1:
-            lb = _image_lower_bound(phi, None)
+            lb = phi.image_lb(None)
             if lb is None:
                 raise NotCertifiable("image admits no level-1 lattice bound")
             return Certificate(phi, (1, 1), band=base.band, witness_shift=lb)
@@ -545,71 +873,11 @@ def certify_membership(phi, target, ladder_depth=3, window=None):
     entry_data = []
     for rung in range(ladder_depth):
         gap = rung + 1
-        matrix = _push_to_quotient(phi, 0, gap, window)
         entries = {}
-        for key, op in matrix.items():
+        for key, op in phi.pushdown(0, gap).items():
             entries[key] = certify_membership(op, (i - 1, j), ladder_depth, window)
         entry_data.append({"gap": gap, "entries": entries})
     return Certificate(phi, (i, j), band=base.band, entry_data=entry_data)
-
-
-def _check_class(phi):
-    """The operator must be built from the closed class of primitives."""
-    if isinstance(phi, (MulBy, LevelProjection, CoeffLift, FiniteRank)):
-        if isinstance(phi, CoeffLift):
-            _check_class(phi.inner)
-        return
-    if isinstance(phi, DiffOp):
-        if phi.descriptor.char != 0 and any(any(I) for _, I in phi.terms):
-            raise NotCertifiable("positive-order differential operator in characteristic p")
-        return
-    if isinstance(phi, (Compose, AddOp)):
-        for p in phi.parts:
-            _check_class(p)
-        return
-    if isinstance(phi, ScalarMul):
-        _check_class(phi.part)
-        return
-    raise NotCertifiable(f"operator node {type(phi).__name__} outside the closed class")
-
-
-def _image_lower_bound(phi, in_lb):
-    """Lower bound for v_1 of the image over inputs with v_1 >= in_lb (None = all of K)."""
-    from .lattices import level1_valuation
-
-    if isinstance(phi, MulBy):
-        if phi.f.is_exact_zero():
-            return 10 ** 9
-        v = level1_valuation(phi.f)
-        return None if in_lb is None else in_lb + v
-    if isinstance(phi, DiffOp):
-        b = phi.band1()
-        return None if in_lb is None else in_lb - b
-    if isinstance(phi, LevelProjection):
-        if phi.level == 1 and phi.cmp == ">=":
-            return phi.cutoff if in_lb is None else max(phi.cutoff, in_lb)
-        return in_lb
-    if isinstance(phi, CoeffLift):
-        return in_lb
-    if isinstance(phi, FiniteRank):
-        if not phi.matrix:
-            return 10 ** 9
-        return phi.out_range1()[0]
-    if isinstance(phi, Compose):
-        cur = in_lb
-        for p in reversed(phi.parts):
-            cur = _image_lower_bound(p, cur)
-        return cur
-    if isinstance(phi, AddOp):
-        lows = [_image_lower_bound(p, in_lb) for p in phi.parts]
-        if any(v is None for v in lows):
-            return None
-        return min(lows)
-    if isinstance(phi, ScalarMul):
-        if phi.scalar.is_zero():
-            return 10 ** 9
-        return _image_lower_bound(phi.part, in_lb)
-    return None
 
 
 # -- killed-lattice analysis (restrict to a^m O_1 and simplify) --------------
@@ -618,17 +886,16 @@ def _image_lower_bound(phi, in_lb):
 def _killed_shift(phi):
     """Find m with phi(a^m O_1) = 0 by symbolic restriction, or raise."""
     constraints = []
-    _collect_kill_constraints(phi, 0, constraints)
+    phi.kill_shift(0, constraints)
     m = max([0] + constraints)
-    chains, _ = _simplify_on_lattice(phi, m)
     desc = phi.descriptor
     groups = {}
-    for chain in chains:
+    for chain in phi.chains(m):
         chain = _normalize_chain(chain)
         if chain is None:  # a zero multiplier killed it
             continue
-        if chain and chain[0][0] == "mul":
-            lead, tail = chain[0][1], chain[1:]
+        if chain and chain[0].multiplier() is not None:
+            lead, tail = chain[0].multiplier(), chain[1:]
         else:
             lead, tail = desc.one(), chain
         groups.setdefault(tail, desc.zero())
@@ -642,241 +909,19 @@ def _killed_shift(phi):
 
 
 def _normalize_chain(chain):
-    """Merge adjacent multipliers; None when a factor is exactly zero."""
+    """Merge adjacent multiplications; None when a factor is exactly zero."""
     out = []
     for item in chain:
-        if item[0] == "mul":
-            if item[1].is_exact_zero():
-                return None
-            if out and out[-1][0] == "mul":
-                out[-1] = ("mul", out[-1][1] * item[1])
-                continue
-            out.append(("mul", item[1]))
+        f = item.multiplier()
+        if f is None:
+            out.append(item)
+        elif f.is_exact_zero():
+            return None
+        elif out and out[-1].multiplier() is not None:
+            out[-1] = MulBy(item.descriptor, out[-1].multiplier() * f)
         else:
             out.append(item)
     return tuple(out)
-
-
-def _collect_kill_constraints(phi, s, out):
-    """Record cutoffs m >= k - s needed to decide every projection/finite-rank node."""
-    if isinstance(phi, MulBy):
-        return s + (phi.f.order if not phi.f.is_exact_zero() else 0)
-    if isinstance(phi, DiffOp):
-        si = phi.shift_interval()
-        return s + si[0]
-    if isinstance(phi, LevelProjection):
-        if phi.level == 1:
-            out.append(phi.cutoff - s)
-        return s
-    if isinstance(phi, CoeffLift):
-        return s
-    if isinstance(phi, FiniteRank):
-        out.append(phi.in_range1()[1] - s)
-        return s
-    if isinstance(phi, Compose):
-        cur = s
-        for p in reversed(phi.parts):
-            cur = _collect_kill_constraints(p, cur, out)
-        return cur
-    if isinstance(phi, AddOp):
-        results = [_collect_kill_constraints(p, s, out) for p in phi.parts]
-        return min(results)
-    if isinstance(phi, ScalarMul):
-        return _collect_kill_constraints(phi.part, s, out)
-    raise NotCertifiable(f"node {type(phi).__name__} blocks lattice analysis")
-
-
-def _simplify_on_lattice(phi, m):
-    """Chains equivalent to phi on inputs with v_1 >= m.
-
-    A chain is a tuple of items in outermost-first application order; items
-    are ('mul', series) or opaque atoms.  Returns (chains, v_1 shift).
-    """
-    desc = phi.descriptor
-    if isinstance(phi, MulBy):
-        shift = phi.f.order if not phi.f.is_exact_zero() else 0
-        return [(("mul", phi.f),)], m + shift
-    if isinstance(phi, LevelProjection):
-        if phi.level == 1:
-            if phi.cmp == ">=" and m >= phi.cutoff:
-                return [()], m
-            if phi.cmp == "<" and m >= phi.cutoff:
-                return [], m
-        atom = ("proj", phi.level, phi.cmp, phi.cutoff)
-        return [(atom,)], m
-    if isinstance(phi, CoeffLift):
-        return [(("lift", id(phi.inner)),)], m
-    if isinstance(phi, DiffOp):
-        return [(("diff", phi.terms),)], m + phi.shift_interval()[0]
-    if isinstance(phi, FiniteRank):
-        if m >= phi.in_range1()[1]:
-            return [], m
-        return [(("finrank", id(phi)),)], m
-    if isinstance(phi, ScalarMul):
-        chains, s = _simplify_on_lattice(phi.part, m)
-        const = desc.constant(phi.scalar)
-        return [(("mul", const),) + c for c in chains], s
-    if isinstance(phi, AddOp):
-        out = []
-        s_min = None
-        for p in phi.parts:
-            chains, s = _simplify_on_lattice(p, m)
-            out.extend(chains)
-            s_min = s if s_min is None else min(s_min, s)
-        return out, (s_min if s_min is not None else m)
-    if isinstance(phi, Compose):
-        # first pass, innermost-first, to learn the incoming shift of each part
-        shifts = []
-        cur = m
-        for p in reversed(phi.parts):
-            shifts.append(cur)
-            cur = _collect_kill_constraints(p, cur, [])
-        shifts.reverse()  # now aligned with self.parts (outermost first)
-        chains = [()]
-        for p, s_in in zip(phi.parts, shifts):
-            pch, _ = _simplify_on_lattice(p, s_in)
-            chains = [c + pc for c in chains for pc in pch]
-        return chains, cur
-    raise NotCertifiable(f"node {type(phi).__name__} blocks lattice analysis")
-
-
-# -- induced quotient matrices (pushdown) ------------------------------------
-
-
-def _push_to_quotient(phi, lo, hi, window=None):
-    """Matrix of the induced map on the basis {a^q : lo <= q < hi} of
-    a^lo O_1 / a^hi O_1, entries as depth-(n-1) OperatorExprs.
-
-    Sound for standard level-1 liftings; twisted level-1 liftings are
-    refused (certification under them is out of the structured class).
-    """
-    desc = phi.descriptor
-    sub_desc = desc.residue_descriptor()
-    rng = range(lo, hi)
-    if isinstance(phi, MulBy):
-        out = {}
-        f = phi.f
-        for q_in in rng:
-            for q_out in rng:
-                u = q_out - q_in
-                try:
-                    fu = f.coefficient_level1(u)
-                except InsufficientPrecision:
-                    raise NotCertifiable(
-                        "multiplier window too small for the quotient pushdown"
-                    )
-                if fu.is_exact_zero():
-                    continue
-                out[(q_out, q_in)] = MulBy(sub_desc, fu)
-        return out
-    if isinstance(phi, LevelProjection):
-        out = {}
-        if phi.level == 1:
-            for q in rng:
-                if phi._keep(q):
-                    out[(q, q)] = identity_op(sub_desc)
-            return out
-        if not phi.sigma.sigma1.is_standard():
-            raise NotCertifiable("pushdown under a twisted level-1 lifting")
-        inner = LevelProjection(
-            sub_desc, phi.level - 1, phi.cmp, phi.cutoff, phi.sigma.d1()
-        )
-        for q in rng:
-            out[(q, q)] = inner
-        return out
-    if isinstance(phi, CoeffLift):
-        if not phi.sigma.sigma1.is_standard():
-            raise NotCertifiable("pushdown under a twisted level-1 lifting")
-        return {(q, q): phi.inner for q in rng}
-    if isinstance(phi, DiffOp):
-        out = {}
-        for c, I in phi.terms:
-            if c.is_exact_zero():
-                continue
-            i1 = I[0]
-            inner_I = I[1:]
-            for q_in in rng:
-                # d_1^{i1} on a^q gives the falling factorial in q
-                factor = 1
-                for s in range(i1):
-                    factor *= (q_in - s)
-                if factor == 0:
-                    continue
-                mid = q_in - i1
-                for q_out in rng:
-                    u = q_out - mid
-                    try:
-                        cu = c.coefficient_level1(u)
-                    except InsufficientPrecision:
-                        raise NotCertifiable("coefficient window too small for pushdown")
-                    if cu.is_exact_zero():
-                        continue
-                    entry = MulBy(sub_desc, cu)
-                    if any(inner_I):
-                        entry = Compose([entry, DiffOp(sub_desc, [(sub_desc.one(), inner_I)])])
-                    entry = ScalarMul(sub_desc.field.from_int(factor), entry)
-                    key = (q_out, q_in)
-                    out[key] = AddOp([out[key], entry]) if key in out else entry
-        return out
-    if isinstance(phi, FiniteRank):
-        out = {}
-        for (o, i), v in phi.matrix.items():
-            if not (lo <= o[0] < hi and lo <= i[0] < hi):
-                if lo <= i[0] < hi and o[0] >= hi:
-                    continue  # lands in the killed part of the quotient
-                if lo <= i[0] < hi and o[0] < lo:
-                    raise NotCertifiable("finite-rank image escapes the quotient window")
-                continue
-            key = (o[0], i[0])
-            entry = FiniteRank(sub_desc, {(o[1:], i[1:]): v})
-            out[key] = AddOp([out[key], entry]) if key in out else entry
-        return out
-    if isinstance(phi, ScalarMul):
-        inner = _push_to_quotient(phi.part, lo, hi, window)
-        return {k: ScalarMul(phi.scalar, op) for k, op in inner.items()}
-    if isinstance(phi, AddOp):
-        out = {}
-        for p in phi.parts:
-            for k, op in _push_to_quotient(p, lo, hi, window).items():
-                out[k] = AddOp([out[k], op]) if k in out else op
-        return out
-    if isinstance(phi, Compose):
-        # extend the working range so intermediate images are not clipped;
-        # finite-rank parts contribute their absolute index ranges
-        margin = 0
-        for p in phi.parts:
-            b = p.band1()
-            si = p.shift_interval()
-            if si is None:
-                orr, irr = p.out_range1(), p.in_range1()
-                up = max(abs(orr[0]), abs(orr[1]), abs(irr[0]), abs(irr[1]))
-            else:
-                up = max(abs(si[0]), abs(si[1]))
-            margin += max(b if b is not None else 0, up) + 1
-        wide_lo, wide_hi = lo - margin, hi + margin
-        mats = [
-            _push_to_quotient(p, wide_lo, wide_hi, window) for p in phi.parts
-        ]
-        acc = None
-        for mat in reversed(mats):
-            if acc is None:
-                acc = mat
-                continue
-            new = {}
-            for (q_mid, q_in), op_in in acc.items():
-                for (q_out, q_mid2), op_out in mat.items():
-                    if q_mid2 != q_mid:
-                        continue
-                    term = Compose([op_out, op_in])
-                    key = (q_out, q_in)
-                    new[key] = AddOp([new[key], term]) if key in new else term
-            acc = new
-        return {
-            (o, i): op
-            for (o, i), op in acc.items()
-            if lo <= i < hi and lo <= o < hi
-        }
-    raise NotCertifiable(f"node {type(phi).__name__} has no quotient pushdown")
 
 
 # ---------------------------------------------------------------------------
@@ -914,11 +959,13 @@ def cubical_projectors(descriptor, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _rref_rank(field, rows):
+def _row_reduce(rows):
+    """Reduced row echelon form over a field, with the pivot column of each row."""
     rows = [r[:] for r in rows]
-    rank = 0
+    pivots = []
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
+        rank = len(pivots)
         pivot = None
         for r in range(rank, len(rows)):
             if not rows[r][col].is_zero():
@@ -933,8 +980,8 @@ def _rref_rank(field, rows):
             if r != rank and not rows[r][col].is_zero():
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
 
 
 def _mat_mul_scalar(field, A, B):
@@ -992,11 +1039,11 @@ def finite_potent_trace(phi, certificates=None, max_power=None, window=None):
     # rank stabilization
     limit = max_power or dim + 1
     power = matrix
-    prev_rank = _rref_rank(field, power)
+    prev_rank = len(_row_reduce(power)[1])
     q = 1
     while q <= limit:
         nxt = _mat_mul_scalar(field, power, matrix)
-        rank = _rref_rank(field, nxt)
+        rank = len(_row_reduce(nxt)[1])
         if rank == prev_rank:
             break
         power, prev_rank, q = nxt, rank, q + 1
@@ -1004,55 +1051,29 @@ def finite_potent_trace(phi, certificates=None, max_power=None, window=None):
         raise NotReduced("rank did not stabilize within the expected power")
     full_trace = sum((matrix[i][i] for i in range(dim)), field.zero)
     inv_trace = _trace_on_invariant_subspace(field, matrix, power, dim)
-    if inv_trace is not None and inv_trace != full_trace:
+    if inv_trace != full_trace:
         raise LocalFieldError("invariant-subspace trace disagrees with the matrix trace")
     return ext_trace(full_trace)
 
 
 def _trace_on_invariant_subspace(field, matrix, stable_power, dim):
-    """Trace of the action on im(phi^q): solve M B = B T on a column basis."""
-    basis_cols = []
-    seen = []
-    for j in range(dim):
-        col = [stable_power[i][j] for i in range(dim)]
-        trial = seen + [col]
-        if _rref_rank(field, trial) > len(seen):
-            seen.append(col)
-            basis_cols.append(col)
-    r = len(basis_cols)
+    """Trace of the action on im(phi^q): solve M B = B T on a column basis.
+
+    The pivot columns of phi^q form B; im(phi^q) is phi-invariant, so the
+    reduced augmented matrix [B | M B] holds T below the identity block.
+    """
+    _, pivots = _row_reduce(stable_power)
+    r = len(pivots)
     if r == 0:
         return field.zero
-    images = []
-    for col in basis_cols:
-        img = [
-            sum((matrix[i][k] * col[k] for k in range(dim)), field.zero)
-            for i in range(dim)
-        ]
-        images.append(img)
-    # solve B T = images for T (columns): Gaussian on the r pivot rows of B
-    aug = [[basis_cols[j][i] for j in range(r)] + [im[i] for im in images]
-           for i in range(dim)]
-    rank = 0
-    for col in range(r):
-        pivot = None
-        for rr in range(rank, dim):
-            if not aug[rr][col].is_zero():
-                pivot = rr
-                break
-        if pivot is None:
-            return None
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col].inv()
-        aug[rank] = [e * inv for e in aug[rank]]
-        for rr in range(dim):
-            if rr != rank and not aug[rr][col].is_zero():
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[rank])]
-        rank += 1
-    trace = field.zero
-    for jj in range(r):
-        trace = trace + aug[jj][r + jj]
-    return trace
+    basis = [[stable_power[i][j] for i in range(dim)] for j in pivots]
+    images = [
+        [sum((matrix[i][k] * col[k] for k in range(dim)), field.zero) for i in range(dim)]
+        for col in basis
+    ]
+    aug = [[col[i] for col in basis] + [im[i] for im in images] for i in range(dim)]
+    reduced, _ = _row_reduce(aug)
+    return sum((reduced[jj][r + jj] for jj in range(r)), field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,9 +1095,7 @@ def verify_lifting_independence(phi, sigma, sigma_prime, targets, ladder_depth=2
         res = {}
         for name, system in (("sigma", sigma), ("sigma_prime", sigma_prime)):
             try:
-                cert = certify_membership(
-                    _rebind_projections(phi, system), target, ladder_depth
-                )
+                cert = certify_membership(phi.rebind(system), target, ladder_depth)
                 res[name] = cert.replay(probes)
             except NotCertifiable as exc:
                 res[name] = f"not-certifiable: {exc.reason}"
@@ -1122,8 +1141,7 @@ def _compare_induced_maps(phi, sigma, sigma_prime, probe_count, gap=2):
     desc = phi.descriptor
     if desc.n < 2:
         return None
-    band = phi.band1()
-    if band is None or band > 0:
+    if phi.band1() > 0:
         return None
     w = desc.window
     A = ArtinianQuotient(desc, gap - 1)
@@ -1158,62 +1176,9 @@ def _compare_induced_maps(phi, sigma, sigma_prime, probe_count, gap=2):
     return True
 
 
-def _rebind_projections(phi, system):
-    """Copy of the operator tree with every projection bound to the given system."""
-    if isinstance(phi, LevelProjection):
-        return LevelProjection(phi.descriptor, phi.level, phi.cmp, phi.cutoff, system)
-    if isinstance(phi, CoeffLift):
-        return CoeffLift(phi.descriptor, phi.inner, system)
-    if isinstance(phi, Compose):
-        return Compose([_rebind_projections(p, system) for p in phi.parts])
-    if isinstance(phi, AddOp):
-        return AddOp([_rebind_projections(p, system) for p in phi.parts])
-    if isinstance(phi, ScalarMul):
-        return ScalarMul(phi.scalar, _rebind_projections(phi.part, system))
-    return phi
-
-
 # ---------------------------------------------------------------------------
-# JSON serialization of operator trees
+# JSON deserialization of operator trees
 # ---------------------------------------------------------------------------
-
-
-def operator_to_json(phi):
-    if isinstance(phi, MulBy):
-        return {"op": "mulby", "f": phi.f.to_json()}
-    if isinstance(phi, DiffOp):
-        return {
-            "op": "diff",
-            "terms": [{"c": c.to_json(), "orders": list(I)} for c, I in phi.terms],
-        }
-    if isinstance(phi, LevelProjection):
-        return {
-            "op": "proj",
-            "level": phi.level,
-            "cmp": phi.cmp,
-            "cutoff": phi.cutoff,
-        }
-    if isinstance(phi, CoeffLift):
-        return {"op": "coefflift", "inner": operator_to_json(phi.inner)}
-    if isinstance(phi, FiniteRank):
-        return {
-            "op": "finrank",
-            "entries": [
-                {"out": list(o), "in": list(i), "value": [str(c) for c in v.coeffs]}
-                for (o, i), v in sorted(phi.matrix.items())
-            ],
-        }
-    if isinstance(phi, Compose):
-        return {"op": "compose", "parts": [operator_to_json(p) for p in phi.parts]}
-    if isinstance(phi, AddOp):
-        return {"op": "add", "parts": [operator_to_json(p) for p in phi.parts]}
-    if isinstance(phi, ScalarMul):
-        return {
-            "op": "scalarmul",
-            "scalar": [str(c) for c in phi.scalar.coeffs],
-            "part": operator_to_json(phi.part),
-        }
-    raise LocalFieldError(f"cannot serialize {type(phi).__name__}")
 
 
 def operator_from_json(descriptor, data, sigma=None):

@@ -46,7 +46,6 @@ from .bt_ops import (
     decompose_identity,
     finite_potent_trace,
     operator_from_json,
-    operator_to_json,
 )
 from .geom import RationalForm, global_residues
 
@@ -609,8 +608,8 @@ def cmd_decompose(args):
         if not (total - x).is_zero_within_window():
             ok = False
     payload = {
-        "phi1": operator_to_json(phi1),
-        "phi2": operator_to_json(phi2),
+        "phi1": phi1.to_json(),
+        "phi2": phi2.to_json(),
         "identity_on_probes": ok,
         "certified_targets": sorted(str(list(t)) for t in certs),
     }

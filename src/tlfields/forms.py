@@ -591,24 +591,6 @@ def dlog(system, window=None):
     return out
 
 
-def separate(form, window=None):
-    return form.separate(window)
-
-
-def exterior_d(form):
-    if isinstance(form, AbstractForm):
-        return form.d()
-    return form.exterior_d()
-
-
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def pullback_automorphism(form, mapping):
-    return form.pullback(mapping)
-
-
 def identity_mapping(descriptor, symbols=()):
     out = {f"t{i}": Gen(descriptor, i) for i in range(1, descriptor.n + 1)}
     for s in symbols:

@@ -26,7 +26,6 @@ from .forms import (
     SeparatedForm,
     Sym,
     dlog,
-    dlog_element,
     identity_mapping,
 )
 from .tlf import TlfDescriptor, UniformizerSystem
@@ -168,17 +167,7 @@ def kummer_norm(u, e, window=None):
     for c in range(e):
         shifted = _shift_level1(u, c)
         cols.append([_kummer_component(shifted, e, r) for r in range(e)])
-    # matrix[r][c], determinant by the Leibniz formula (e is small and tame)
-    field = u.field
-    depth = u.depth
-    det = Series.zero(field, depth)
-    for perm in permutations(range(e)):
-        sign = _perm_sign(perm)
-        term = Series.one(field, depth)
-        for c in range(e):
-            term = term * cols[c][perm[c]]
-        det = det + (term if sign > 0 else -term)
-    return det
+    return _leibniz_det(cols, u.field, u.depth)
 
 
 def unramified_trace_element(x, spec):
@@ -200,13 +189,20 @@ def unramified_norm(u, spec, window=None):
             for r in range(d)
         ]
         cols.append(col)
-    det = Series.zero(K.field, K.n)
-    for perm in permutations(range(d)):
-        sign = _perm_sign(perm)
-        term = Series.one(K.field, K.n)
-        for c in range(d):
-            term = term * cols[c][perm[c]]
-        det = det + (term if sign > 0 else -term)
+    return _leibniz_det(cols, K.field, K.n)
+
+
+def _leibniz_det(cols, field, depth):
+    """Determinant of the series matrix with columns cols, by the Leibniz formula.
+
+    The matrices are e x e (tame Kummer) or d x d (unramified), both small.
+    """
+    det = Series.zero(field, depth)
+    for perm in permutations(range(len(cols))):
+        term = Series.one(field, depth)
+        for c, r in enumerate(perm):
+            term = term * cols[c][r]
+        det = det + (term if _perm_sign(perm) > 0 else -term)
     return det
 
 
@@ -349,7 +345,3 @@ def counterexample_char0(descriptor=None, binding=None, window=8):
 def dlog_standard(descriptor, window=None):
     """Convenience: dlog of the standard uniformizer system."""
     return dlog(UniformizerSystem.standard(descriptor), window)
-
-
-def dlog_of_element(descriptor, u, window=None):
-    return dlog_element(descriptor, u, window)

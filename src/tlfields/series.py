@@ -494,22 +494,6 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-def valuation(x):
-    return x.valuation()
-
-
-def coefficient_at(x, idx):
-    return x.coefficient_at(idx)
-
-
-def derivative(x, axis):
-    return x.derivative(axis)
-
-
-def substitute(x, assignment, window=None):
-    return x.substitute(assignment, window)
-
-
 def _pad(values, offset, n, zero):
     """n values with values[m] at position offset + m and zero elsewhere."""
     row = [zero] * n

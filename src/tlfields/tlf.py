@@ -493,11 +493,6 @@ def sigma_reassemble(pairs, sigma1, a1, depth, field):
     return acc
 
 
-def twisted_lifting_apply(spec, x):
-    """Apply a lifting spec to a residue-field element."""
-    return spec.apply(x)
-
-
 # ---------------------------------------------------------------------------
 # artinian quotients and the change-of-lifting matrix
 # ---------------------------------------------------------------------------

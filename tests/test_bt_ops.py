@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +15,13 @@ from tlfields.bt_ops import (
     FiniteRank,
     LevelProjection,
     MulBy,
+    OperatorExpr,
     ScalarMul,
     certify_membership,
     cubical_projectors,
     decompose_identity,
     finite_potent_trace,
+    operator_from_json,
     verify_lifting_independence,
 )
 from tlfields.residue import tate_residue_dim1
@@ -198,6 +202,66 @@ class TestCertify:
             comp = Compose([left, inner, right])
             cert = certify_membership(comp, (1, 1))
             assert cert.replay(ps)
+
+    def test_equal_lifts_built_apart_cancel(self, K2):
+        def lift():
+            inner = MulBy(K2.residue_descriptor(), Series.generator(K2.field, 1, 1))
+            return CoeffLift(K2, inner, LiftingSystem.standard(K2))
+
+        cert = certify_membership(lift() - lift(), (1, 2))
+        assert cert.killed_shift == 0
+        assert cert.replay(probes(K2, random.Random(16)))
+
+    def test_lifts_under_different_systems_do_not_cancel(self, K2):
+        # the difference maps t2 in O_1 to -t1*t2, so no lattice is killed
+        inner = MulBy(K2.residue_descriptor(), Series.generator(K2.field, 1, 1))
+        std = LiftingSystem.standard(K2)
+        tw = LiftingSystem.twisted_at(K2, 1, 2, depth=2)
+        diff = CoeffLift(K2, inner, std) - CoeffLift(K2, inner, tw)
+        t1, t2 = K2.gens()
+        assert agree_within_window(diff.apply(t2), -(t1 * t2))
+        with pytest.raises(NotCertifiable):
+            certify_membership(diff, (1, 2))
+
+    def test_node_outside_class_refused_by_name(self, K2):
+        class Opaque(OperatorExpr):
+            def apply(self, x, window=None):
+                return x
+
+        std = LiftingSystem.standard(K2)
+        opaque = Opaque(K2)
+        lifted = CoeffLift(K2, Opaque(K2.residue_descriptor()), std)
+        for op in [opaque, lifted, lifted + MulBy(K2, K2.one()), ScalarMul(0, opaque)]:
+            for target in ["E", (1, 1), (1, 2), (2, 1)]:
+                with pytest.raises(NotCertifiable, match="Opaque"):
+                    certify_membership(op, target)
+
+
+class TestJson:
+    def test_round_trip_every_node(self, K2):
+        field = K2.field
+        sub = K2.residue_descriptor()
+        sigma = LiftingSystem.standard(K2)
+        t1, t2 = K2.gens()
+        mul = MulBy(K2, t1.inv() + t2)
+        proj = LevelProjection(K2, 2, "<", 1, sigma)
+        ops = [
+            mul,
+            DiffOp(K2, [(t2, (1, 0)), (K2.one(), (0, 2))]),
+            proj,
+            CoeffLift(K2, MulBy(sub, Series.generator(field, 1, 1)), sigma),
+            FiniteRank(K2, {((0, 1), (1, 0)): field.from_int(3)}),
+            Compose([mul, proj]),
+            AddOp([mul, proj]),
+            ScalarMul(field.from_fraction(Fraction(-2, 3)), proj),
+        ]
+        x = K2.from_terms({(1, 0): field.one, (0, -1): field.from_int(2), (-1, 1): field.one})
+        for phi in ops:
+            data = phi.to_json()
+            back = operator_from_json(K2, json.loads(json.dumps(data)))
+            assert back.to_json() == data
+            assert back == phi
+            assert back.apply(x) == phi.apply(x)
 
 
 class TestDecomposeIdentity:

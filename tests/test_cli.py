@@ -180,6 +180,19 @@ class TestCommands:
         assert data["certified"] is True
         assert data["replayed"] is True
 
+    @pytest.mark.parametrize(
+        "n, operator", [("1", "proj1(>=0) - proj1(>=0)"), ("2", "proj2(>=0) - proj2(>=0)")]
+    )
+    def test_certify_cancelling_projections(self, capsys, n, operator):
+        # each parsed projection gets its own standard lifting system, so the
+        # two sides cancel only when systems compare by structure
+        code, out = run_cli(capsys, "certify", "--n", n, "--target", "1,2", operator)
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is True
+        assert data["killed_shift"] == 0
+        assert data["replayed"] is True
+
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")
         _, out2 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")
