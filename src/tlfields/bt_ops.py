@@ -852,7 +852,7 @@ def _default_probes(descriptor, count=6, seed=7):
     return [p for p in probes if not p.is_exact_zero()]
 
 
-def certify_membership(phi, target, ladder_depth=3, window=None):
+def certify_membership(phi, target, ladder_depth=3):
     """Certify membership structurally; NotCertifiable is not a disproof."""
     if target == "E":
         return Certificate(phi, "E", band=phi.band1())
@@ -860,7 +860,7 @@ def certify_membership(phi, target, ladder_depth=3, window=None):
     n = phi.descriptor.n
     if not (1 <= i <= n) or j not in (1, 2):
         raise NotCertifiable(f"target {target} out of range for dimension {n}")
-    base = certify_membership(phi, "E", ladder_depth, window)
+    base = certify_membership(phi, "E", ladder_depth)
     if i == 1:
         if j == 1:
             lb = phi.image_lb(None)
@@ -875,7 +875,7 @@ def certify_membership(phi, target, ladder_depth=3, window=None):
         gap = rung + 1
         entries = {}
         for key, op in phi.pushdown(0, gap).items():
-            entries[key] = certify_membership(op, (i - 1, j), ladder_depth, window)
+            entries[key] = certify_membership(op, (i - 1, j), ladder_depth)
         entry_data.append({"gap": gap, "entries": entries})
     return Certificate(phi, (i, j), band=base.band, entry_data=entry_data)
 

@@ -678,14 +678,17 @@ def cmd_selftest(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -700,7 +703,7 @@ def build_parser():
         p.add_argument("--ext-poly", default=None,
                        help="comma-separated monic minimal polynomial of the last residue field")
         p.add_argument("--n", type=int, default=n_default, help="dimension of the tower")
-        p.add_argument("--window", type=_positive_int, default=8,
+        p.add_argument("--window", type=_int_at_least(1), default=8,
                        help="precision window per level (an integer >= 1)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
@@ -757,7 +760,8 @@ def build_parser():
     common(p, n_default=2)
     p.add_argument("--exponent", type=int, default=2, help="l in O_1/m^(l+1)")
     p.add_argument("--twist-axis", type=int, default=2)
-    p.add_argument("--twist-depth", type=int, default=2)
+    p.add_argument("--twist-depth", type=_int_at_least(0), default=2,
+                   help="truncation depth of the twisted lifting (an integer >= 0)")
     p.set_defaults(fn=cmd_lift_matrix)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

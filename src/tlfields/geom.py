@@ -8,16 +8,16 @@ infinity with uniformizer 1/t.  Summing the local residues over all points
 gives exactly zero.
 """
 
-from math import gcd
-
-from .errors import FactorizationOutOfScope, LocalFieldError
+from .errors import FactorizationOutOfScope, IrreducibilityCheckInfeasible, LocalFieldError
 from .scalars import (
     ExtField,
     _divisors_signed,
-    _lagrange_interp,
+    _integer_poly,
+    _kronecker_factor,
     _monic_polys,
     _poly_divmod,
     _poly_eval,
+    _poly_ext_gcd,
     _poly_trim,
 )
 from .series import Series
@@ -89,7 +89,7 @@ class RationalForm:
         den = _coerce_poly(base, den)
         if not den:
             raise LocalFieldError("denominator is zero")
-        g = _poly_gcd(base, num, den)
+        g = _poly_ext_gcd(base, num, den)[0]
         if len(g) > 1:
             num, _ = _poly_divmod(base, num, g)
             den, _ = _poly_divmod(base, den, g)
@@ -109,17 +109,6 @@ def _coerce_poly(base, poly):
     return _poly_trim(
         [base.from_int(c) if base.char else base.from_fraction(c) for c in poly]
     )
-
-
-def _poly_gcd(base, f, g):
-    f, g = list(f), list(g)
-    while g:
-        _, r = _poly_divmod(base, f, g)
-        f, g = g, r
-    if f:
-        inv = base.inv(f[-1])
-        f = [base.mul(c, inv) for c in f]
-    return f
 
 
 def _poly_derivative(base, f):
@@ -172,10 +161,7 @@ def _extract_rational_roots(base, den, factors):
     changed = True
     while changed and len(den) - 1 >= 1:
         changed = False
-        denom_lcm = 1
-        for c in den:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        zpoly = [int(c * denom_lcm) for c in den]
+        zpoly = _integer_poly(den)
         if zpoly[0] == 0:
             lin = [base.zero, base.one]
             den, _ = _poly_divmod(base, den, lin)
@@ -208,53 +194,17 @@ def _extract_quadratics(base, den, factors):
             quad = tuple(base.mul(c, lead_inv) for c in den)
             factors[quad] = factors.get(quad, 0) + 1
             return [base.one]
-        quad = _find_quadratic_factor(base, den)
+        # every rational root is gone, so a factor found here is a quadratic
+        try:
+            quad = _kronecker_factor(base, den, 2)
+        except IrreducibilityCheckInfeasible as exc:
+            raise FactorizationOutOfScope("quadratic factor search too large") from exc
         if quad is None:
             return den
-        den, _ = _poly_divmod(base, den, list(quad))
+        den, _ = _poly_divmod(base, den, quad)
+        quad = tuple(quad)
         factors[quad] = factors.get(quad, 0) + 1
     return den
-
-
-def _find_quadratic_factor(base, den):
-    from fractions import Fraction
-
-    denom_lcm = 1
-    for c in den:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    zpoly = [int(c * denom_lcm) for c in den]
-    points = []
-    x = 0
-    while len(points) < 3:
-        v = _poly_eval(base, [Fraction(c) for c in zpoly], Fraction(x))
-        if v != 0:
-            points.append((x, int(v)))
-        x = -x if x > 0 else -x + 1
-    xs = [Fraction(p) for p, _ in points]
-    lists = [_divisors_signed(v) for _, v in points]
-    total = 1
-    for lst in lists:
-        total *= len(lst)
-    if total > 200000:
-        raise FactorizationOutOfScope("quadratic factor search too large")
-    idx = [0, 0, 0]
-    while True:
-        ys = [Fraction(lists[i][idx[i]]) for i in range(3)]
-        g = _lagrange_interp(xs, ys)
-        if len(g) - 1 == 2:
-            _, rem = _poly_divmod(base, den, g)
-            if not rem:
-                lead_inv = base.inv(g[-1])
-                return tuple(base.mul(c, lead_inv) for c in g)
-        i = 0
-        while i < 3:
-            idx[i] += 1
-            if idx[i] < len(lists[i]):
-                break
-            idx[i] = 0
-            i += 1
-        else:
-            return None
 
 
 def enumerate_closed_points(base, den, include_infinity=True):

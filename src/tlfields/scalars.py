@@ -13,7 +13,8 @@ structural comparison.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from .errors import (
     DivisionByZero,
@@ -235,13 +236,18 @@ def _divisors_signed(n):
     return out
 
 
-def _check_irreducible_q(k, poly):
-    d = len(poly) - 1
-    # clear denominators: primitive integer polynomial, same factorization over Q
+def _integer_poly(poly):
+    """A rational polynomial times the lcm of its denominators, as ints."""
     denom = 1
     for c in poly:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    zpoly = [int(c * denom) for c in poly]
+    return [int(c * denom) for c in poly]
+
+
+def _check_irreducible_q(k, poly):
+    d = len(poly) - 1
+    # clear denominators: primitive integer polynomial, same factorization over Q
+    zpoly = _integer_poly(poly)
 
     # linear factors via the rational root theorem
     a0, an = zpoly[0], zpoly[-1]
@@ -256,10 +262,17 @@ def _check_irreducible_q(k, poly):
 
     # higher-degree factors via Kronecker interpolation
     for deg in range(2, d // 2 + 1):
-        _kronecker_search(k, poly, zpoly, deg)
+        g = _kronecker_factor(k, poly, deg)
+        if g is not None:
+            raise ReduciblePolynomial(f"factor of degree {len(g) - 1} found over QQ")
 
 
-def _kronecker_search(k, poly, zpoly, deg):
+def _kronecker_factor(k, poly, deg):
+    """Kronecker's method over QQ: the first monic factor g of poly with
+    1 <= deg g < deg poly among the interpolants through deg + 1 integer
+    points, or None.  Raises IrreducibilityCheckInfeasible when the search
+    would exceed _KRONECKER_BUDGET candidates."""
+    zpoly = _integer_poly(poly)
     points = []
     x = 0
     while len(points) < deg + 1:
@@ -268,31 +281,19 @@ def _kronecker_search(k, poly, zpoly, deg):
             points.append((x, int(v)))
         x = -x if x > 0 else -x + 1
     divisor_lists = [_divisors_signed(v) for _, v in points]
-    total = 1
-    for lst in divisor_lists:
-        total *= len(lst)
+    total = prod(len(lst) for lst in divisor_lists)
     if total > _KRONECKER_BUDGET:
         raise IrreducibilityCheckInfeasible(
             f"Kronecker search needs {total} candidates (budget {_KRONECKER_BUDGET})"
         )
     xs = [Fraction(x) for x, _ in points]
-    idx = [0] * len(points)
-    while True:
-        ys = [Fraction(divisor_lists[i][idx[i]]) for i in range(len(points))]
-        g = _lagrange_interp(xs, ys)
-        if len(g) - 1 >= 1:
-            _, rem = _poly_divmod(k, poly, g)
-            if not rem and len(g) - 1 < len(poly) - 1:
-                raise ReduciblePolynomial(f"factor of degree {len(g) - 1} found over QQ")
-        i = 0
-        while i < len(points):
-            idx[i] += 1
-            if idx[i] < len(divisor_lists[i]):
-                break
-            idx[i] = 0
-            i += 1
-        else:
-            return
+    # reversed, so the first point's divisor varies fastest
+    for ys in product(*divisor_lists[::-1]):
+        g = _lagrange_interp(xs, [Fraction(y) for y in ys[::-1]])
+        if 1 <= len(g) - 1 < len(poly) - 1 and not _poly_divmod(k, poly, g)[1]:
+            lead_inv = k.inv(g[-1])
+            return [k.mul(c, lead_inv) for c in g]
+    return None
 
 
 def _lagrange_interp(xs, ys):

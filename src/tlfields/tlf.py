@@ -12,7 +12,11 @@ Series of depth n over the extension field k'.  The module provides:
     certificate of each entry's differential-operator order.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement, product
+from math import comb, prod
 
 from .errors import (
     BasisNotFiltered,
@@ -285,6 +289,8 @@ class LiftingSpec:
             raise LocalFieldError(f"unknown lifting kind {kind!r}")
         if axis is None or axis <= level:
             raise LocalFieldError("twist axis must lie strictly below the lifting level")
+        if not isinstance(depth, int) or depth < 0:
+            raise LocalFieldError(f"twist depth must be an integer >= 0, got {depth!r}")
         self.axis = axis
         self.c = c
         self.depth = depth
@@ -525,9 +531,6 @@ class ArtinianQuotient:
             raise InsufficientPrecision("element window does not cover the quotient degrees")
         return Series(x.field, x.depth, order=0, coeffs=kept, exact=True)
 
-    def mul(self, x, y):
-        return self.reduce(x * y)
-
     def standard_basis(self):
         return [
             Series.monomial(self.descriptor.field, self.descriptor.n, (k,) + (0,) * (self.descriptor.n - 1))
@@ -535,59 +538,14 @@ class ArtinianQuotient:
         ]
 
 
-class OperatorClosure:
-    """A k-linear operator on residue-field elements, given by its action."""
-
-    __slots__ = ("fn", "label")
-
-    def __init__(self, fn, label="op"):
-        self.fn = fn
-        self.label = label
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    @classmethod
-    def identity(cls):
-        return cls(lambda x: x, "1")
-
-    @classmethod
-    def zero_op(cls):
-        return cls(lambda x: Series.zero(x.field, x.depth), "0")
-
-    def compose(self, other):
-        return OperatorClosure(lambda x: self(other(x)), f"({self.label}∘{other.label})")
-
-    def add(self, other):
-        return OperatorClosure(lambda x: self(x) + other(x), f"({self.label}+{other.label})")
-
-    def negate(self):
-        return OperatorClosure(lambda x: -self(x), f"(-{self.label})")
-
-
-def _matrix_compose(A, B):
-    """Entrywise operator-matrix product (A then indices like A[i][k] B[k][j])."""
-    r = len(A)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = None
-            for k in range(r):
-                term = A[i][k].compose(B[k][j])
-                acc = term if acc is None else acc.add(term)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 class LiftingMatrix:
     """The matrix relating coordinates of one lifting to another on A.
 
     Entry (i, j) is the operator gamma_{i,j} on k_1(A) defined by
-    sigma(b) m_i = sum_j sigma'(gamma_{i,j}(b)) m_j.  For filtered bases it is
-    unit upper triangular, with entry orders certified by the commutator
-    filtration on a probe set.
+    sigma(b) m_i = sum_j sigma'(gamma_{i,j}(b)) m_j, stored as a plain
+    function that computes gamma_{i,j}(b) by the triangular solve.  For
+    filtered bases it is unit upper triangular, with entry orders certified by
+    the commutator filtration on a probe set.
     """
 
     def __init__(self, quotient, sigma, sigma_prime, basis, entries):
@@ -611,28 +569,13 @@ class LiftingMatrix:
         return out
 
     def neumann_inverse(self):
-        """theta = sum eps^k with eps = 1 - matrix; exact since eps is nilpotent."""
-        r = self.rank
-        ident = [
-            [OperatorClosure.identity() if i == j else OperatorClosure.zero_op() for j in range(r)]
-            for i in range(r)
-        ]
-        eps = [
-            [
-                (ident[i][j].add(self.entries[i][j].negate()))
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        total = [row[:] for row in ident]
-        power = ident
-        for _ in range(r):
-            power = _matrix_compose(power, eps)
-            total = [
-                [total[i][j].add(power[i][j]) for j in range(r)] for i in range(r)
-            ]
-        inv = LiftingMatrix(self.quotient, self.sigma_prime, self.sigma, self.basis, total)
-        return inv
+        """The inverse: the reverse change, sigma' -> sigma, on the same basis.
+
+        Coordinates in the quotient are unique, so this matrix of plain
+        functions equals the Neumann sum sum_k eps^k, eps = 1 - matrix
+        (finite, since eps is nilpotent).
+        """
+        return change_of_lifting_matrix(self.quotient, self.sigma_prime, self.sigma, self.basis)
 
     def is_unit_upper_triangular(self, probes):
         for i in range(self.rank):
@@ -672,18 +615,15 @@ def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=No
 
     def entry(i, j):
         def act(b):
-            x = quotient.reduce(sigma.apply(b) * basis[i])
-            # triangular solve of x = sum_j sigma'(c_j) m_j, ascending degrees
-            r = x
-            for jj in range(0, j + 1):
+            # triangular solve of sigma(b) m_i = sum_j sigma'(c_j) m_j, ascending degrees
+            r = quotient.reduce(sigma.apply(b) * basis[i])
+            for jj in range(j):
                 cj = residue_level1(r * inv_basis[jj])
-                if jj == j:
-                    return cj
                 if not cj.is_exact_zero():
                     r = r - quotient.reduce(sigma_prime.apply(cj) * basis[jj])
-            raise AssertionError("unreachable")
+            return residue_level1(r * inv_basis[j])
 
-        return OperatorClosure(act, f"γ[{i},{j}]")
+        return act
 
     entries = [[entry(i, j) for j in range(l + 1)] for i in range(l + 1)]
     return LiftingMatrix(quotient, sigma, sigma_prime, basis, entries)
@@ -691,14 +631,32 @@ def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=No
 
 def differential_order_bounded(op, order, probes, multipliers):
     """Commutator-filtration test: nested commutators with (order+1) multiplication
-    operators annihilate the probes.  Sound on the probe set only."""
+    operators annihilate the probes.  Sound on the probe set only.
 
-    def commutator(phi, a):
-        return lambda x: phi(a * x) - a * phi(x)
+    Multiplications commute, so [..[op, a_1], ..., a_k] depends only on the
+    multiset {a_1, ..., a_k} and expands by inclusion-exclusion into
+    sum_S (-1)^(k-|S|) (prod_{i not in S} a_i) op(prod_{i in S} a_i x); equal
+    sub-multisets S are summed with their multiplicity, and op(a_S p) is
+    computed once per probe.
+    """
+    k = order + 1
 
-    def check(phi, depth_left):
-        if depth_left == 0:
-            return all(phi(p).is_zero_within_window() for p in probes)
-        return all(check(commutator(phi, a), depth_left - 1) for a in multipliers)
+    def times(x, i):
+        return multipliers[i] * x
 
-    return check(op, order + 1)
+    for p in probes:
+        images = {}  # sorted multiplier indices S -> op(a_S p)
+        for combo in combinations_with_replacement(range(len(multipliers)), k):
+            counts = Counter(combo)
+            total = Series.zero(p.field, p.depth)
+            for kept in product(*(range(c + 1) for c in counts.values())):
+                S = tuple(i for i, s in zip(counts, kept) for _ in range(s))
+                if S not in images:
+                    images[S] = op(reduce(times, S, p))
+                rest = [i for i, s in zip(counts, kept) for _ in range(counts[i] - s)]
+                multiplicity = prod(comb(c, s) for c, s in zip(counts.values(), kept))
+                term = reduce(times, rest, images[S])
+                total = total + term.scalar_mul((-1) ** len(rest) * multiplicity)
+            if not total.is_zero_within_window():
+                return False
+    return True

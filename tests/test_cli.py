@@ -173,6 +173,19 @@ class TestCommands:
         assert captured.out == ""
         assert "--window" in captured.err
 
+    def test_negative_twist_depth_rejected_at_parsing(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["lift-matrix", "--n", "2", "--twist-depth", "-1"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--twist-depth" in captured.err
+
+    def test_twist_depth_zero_accepted(self, capsys):
+        code, out = run_cli(capsys, "lift-matrix", "--n", "2", "--twist-depth", "0")
+        assert code == 0
+        assert json.loads(out)["neumann_identity"] is True
+
     def test_certify_cancelling_differentials(self, capsys):
         code, out = run_cli(capsys, "certify", "--n", "1", "--target", "1,2", "d1 - d1")
         assert code == 0

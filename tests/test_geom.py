@@ -150,6 +150,17 @@ class TestEnumerate:
         with pytest.raises(FactorizationOutOfScope):
             enumerate_closed_points(Q, [-2, 0, 0, 1])
 
+    def test_two_quadratics_split(self, Q):
+        den = _poly_mul(Q, [5, 0, 1], [7, 3, 1])  # (t^2+5)(t^2+3t+7)
+        pts = enumerate_closed_points(Q, den, include_infinity=False)
+        assert {p.min_poly for p in pts} == {(5, 0, 1), (7, 3, 1)}
+
+    def test_quadratic_search_over_budget(self, Q):
+        # t^4 + 720719 t^2 + 720720 has no rational root, and its values at
+        # 0, 1, -1 have too many divisors for the Kronecker search budget
+        with pytest.raises(FactorizationOutOfScope, match="quadratic factor search too large"):
+            enumerate_closed_points(Q, [720720, 0, 720719, 0, 1])
+
 
 class TestLocalExpansion:
     def test_simple_pole(self, Q):

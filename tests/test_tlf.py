@@ -147,6 +147,16 @@ class TestLiftings:
             LiftingSystem.twisted_at(K2_F5, 1, 2, depth=5)
         LiftingSystem.twisted_at(K2_F5, 1, 2, depth=4)
 
+    @pytest.mark.parametrize("depth", [-1, 2.5, None])
+    def test_bad_twist_depth_rejected(self, depth):
+        with pytest.raises(LocalFieldError):
+            LiftingSpec(1, "twisted", axis=2, depth=depth)
+
+    def test_twist_depth_zero_is_standard(self, K2):
+        sigma = LiftingSpec(1, "twisted", axis=2, depth=0)
+        x = Series.from_terms(K2.field, 1, {(-1,): K2.field.one, (2,): K2.field.from_int(3)})
+        assert sigma.apply(x) == LiftingSpec(1).apply(x)
+
     def test_d1(self, Q):
         K3 = TlfDescriptor(3, Q)
         sys_ = LiftingSystem.twisted_at(K3, 2, 3, depth=1)
@@ -302,3 +312,78 @@ class TestChangeOfLifting:
             for c, m in zip(new_coords, basis):
                 rhs = rhs + twist.apply(c) * m
             assert agree_within_window(A.reduce(lhs) - A.reduce(rhs), K.zero())
+
+
+def _nested_commutator_reference(op, order, probes, multipliers):
+    """The nested-commutator check built one commutator at a time, as the
+    definition reads: [phi, a](x) = phi(a x) - a phi(x), over every ordered
+    tuple of multipliers."""
+
+    def commutator(phi, a):
+        return lambda x: phi(a * x) - a * phi(x)
+
+    def check(phi, depth_left):
+        if depth_left == 0:
+            return all(phi(p).is_zero_within_window() for p in probes)
+        return all(check(commutator(phi, a), depth_left - 1) for a in multipliers)
+
+    return check(op, order + 1)
+
+
+def _lifting_pair(forward):
+    std = LiftingSpec(1)
+    twist = LiftingSpec(1, "twisted", axis=2, depth=2)
+    return (std, twist) if forward else (twist, std)
+
+
+class TestChangeOfLiftingRewrite:
+    """Guards for the entries as plain functions, the reverse-solve inverse and
+    the inclusion-exclusion commutator check."""
+
+    @pytest.mark.parametrize("char", [0, 5])
+    @pytest.mark.parametrize("exponent", [1, 2])
+    @pytest.mark.parametrize("forward", [True, False], ids=["std-twist", "twist-std"])
+    def test_order_check_matches_nested_reference(self, char, exponent, forward):
+        field = make_extension(char, [0, 1])
+        A = ArtinianQuotient(TlfDescriptor(2, field), exponent)
+        mat = change_of_lifting_matrix(A, *_lifting_pair(forward))
+        t2 = Series.generator(field, 1, 1)
+        one = Series.one(field, 1)
+        probes = [one, t2, t2 * t2, t2.inv()]
+        mults = [t2, t2 * t2, one + t2]
+        seen = set()
+        for i in range(mat.rank):
+            for j in range(mat.rank):
+                for order in range(mat.rank):
+                    entry = mat.entries[i][j]
+                    expected = _nested_commutator_reference(entry, order, probes, mults)
+                    assert differential_order_bounded(entry, order, probes, mults) == expected
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    @pytest.mark.parametrize("forward", [True, False], ids=["std-twist", "twist-std"])
+    @pytest.mark.parametrize("basis_kind", ["standard", "filtered"])
+    def test_neumann_inverse_two_sided(self, Q, exponent, forward, basis_kind):
+        K = TlfDescriptor(2, Q)
+        A = ArtinianQuotient(K, exponent)
+        t1, t2 = K.gens()
+        basis = None
+        if basis_kind == "filtered":
+            basis = [t1 ** i * (K.one() + t2 * t1) for i in range(exponent + 1)]
+        mat = change_of_lifting_matrix(A, *_lifting_pair(forward), basis=basis)
+        gamma, theta = mat.entries, mat.neumann_inverse().entries
+        s = Series.generator(Q, 1, 1)
+        probes = [Series.one(Q, 1), s, s * s + s.inv()]
+        r = exponent + 1
+        # coordinates change as c'_j = sum_i gamma[i][j](c_i), so entry (i, j)
+        # of a composite applies first[i][k] and then second[k][j]
+        for first, second in ((gamma, theta), (theta, gamma)):
+            for i in range(r):
+                for j in range(r):
+                    for p in probes:
+                        total = Series.zero(Q, 1)
+                        for k in range(r):
+                            total = total + second[k][j](first[i][k](p))
+                        expected = p if i == j else Series.zero(Q, 1)
+                        assert (total - expected).is_zero_within_window(), (i, j, p)
