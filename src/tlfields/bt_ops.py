@@ -854,6 +854,8 @@ def _default_probes(descriptor, count=6, seed=7):
 
 def certify_membership(phi, target, ladder_depth=3):
     """Certify membership structurally; NotCertifiable is not a disproof."""
+    if not isinstance(ladder_depth, int) or ladder_depth < 1:
+        raise LocalFieldError(f"ladder depth must be an integer >= 1, got {ladder_depth!r}")
     if target == "E":
         return Certificate(phi, "E", band=phi.band1())
     i, j = target

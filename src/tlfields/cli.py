@@ -538,7 +538,7 @@ def cmd_tate_residue(args):
 
 def cmd_trace_form(args):
     desc = _descriptor_from_args(args, default_n=1)
-    if args.kummer:
+    if args.kummer is not None:
         spec = ExtensionSpec.kummer(desc, args.kummer)
         upstairs = spec.upstairs_descriptor()
     else:
@@ -738,7 +738,8 @@ def build_parser():
     common(p)
     p.add_argument("operator")
     p.add_argument("--target", default="E", help="'E' or 'i,j'")
-    p.add_argument("--ladder-depth", type=int, default=3)
+    p.add_argument("--ladder-depth", type=_int_at_least(1), default=3,
+                   help="rungs of the refinement ladder per level (an integer >= 1)")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("decompose", help="identity decomposition at a level")

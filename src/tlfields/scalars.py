@@ -10,11 +10,21 @@ values, so ExtScalar arithmetic on them calls the BaseField operations on
 ``coeffs[0]`` directly and never builds, reduces or inverts a polynomial.
 Fields compare by identity first; operands of one field object skip the
 structural comparison.
+
+For degree d >= 2 every field carries a fold table: the coordinates of
+x^(d+j) mod m(x) for j = 0..d-2, computed once at construction and scaled to
+integers by one common denominator (1 over F_p).  A product is then one pass
+on integers: each rational operand is cleared of denominators (its lcm), the
+schoolbook product of the coordinate vectors is formed with no reduction
+inside the loop, its d-1 high coordinates are folded into the low d through
+the table, and each of the d results is reduced once: ``% p`` over F_p, one
+``Fraction`` normalisation over QQ.  ``ExtField.element`` reduces over-long
+coordinate lists by the same rule.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import (
     DivisionByZero,
@@ -325,7 +335,7 @@ class ExtField:
     over Q).
     """
 
-    __slots__ = ("base", "min_poly", "degree", "_zero", "_one")
+    __slots__ = ("base", "min_poly", "degree", "_zero", "_one", "_fold", "_fold_den")
 
     def __init__(self, base, min_poly):
         min_poly = [base.from_fraction(c) if base.char == 0 else base.from_int(c)
@@ -345,6 +355,16 @@ class ExtField:
         self.degree = d
         self._zero = ExtScalar(self, (base.zero,) * d)
         self._one = ExtScalar(self, (base.one,) + (base.zero,) * (d - 1))
+        # fold table: row j holds x^(d+j) mod m, times _fold_den, as integers
+        row = [base.neg(c) for c in min_poly[:d]]
+        rows = []
+        for _ in range(d - 1):
+            rows.append(row)
+            top = row[-1]
+            row = [base.zero] + row[:-1]
+            row = [base.add(c, base.mul(top, r)) for c, r in zip(row, rows[0])]
+        ints, self._fold_den = _clear_denominators([c for r in rows for c in r])
+        self._fold = tuple(tuple(ints[j * d:(j + 1) * d]) for j in range(d - 1))
 
     @property
     def char(self):
@@ -398,13 +418,50 @@ class ExtField:
         return ExtScalar(self, tuple(coeffs))
 
     def element(self, coeffs):
-        coeffs = list(coeffs)
+        """The element sum coeffs[e] x^e, for any number of coordinates."""
+        k = self.base
+        coeffs = [k.from_fraction(c) if k.char == 0 else k.from_int(c) for c in coeffs]
         if len(coeffs) > self.degree:
-            coeffs = _poly_mod(self.base, _poly_trim(list(coeffs)), list(self.min_poly))
-        coeffs = [self.base.from_fraction(c) if self.base.char == 0 else self.base.from_int(c)
-                  for c in coeffs]
-        coeffs += [self.base.zero] * (self.degree - len(coeffs))
+            ints, den = _clear_denominators(coeffs)
+            return self._reduce(ints, den)
+        coeffs += [k.zero] * (self.degree - len(coeffs))
         return ExtScalar(self, tuple(coeffs))
+
+    def _reduce(self, c, den=1):
+        """The element (sum c[e] x^e) / den, for a list c of integers (consumed)
+        and an integer den > 0.
+
+        Coordinates above x^(2d-2) are first folded down one at a time through
+        x^e = x^(e-d) * x^d; then the d-1 high coordinates are folded through
+        the table in one pass, and each low coordinate is reduced once.
+        """
+        d = self.degree
+        rows, fold_den = self._fold, self._fold_den
+        while len(c) > 2 * d - 1:
+            top = c.pop()
+            if top:
+                if fold_den != 1:
+                    c = [fold_den * v for v in c]
+                    den *= fold_den
+                e = len(c) - d
+                for k, r in enumerate(rows[0]):
+                    c[e + k] += top * r
+        low = c[:d]
+        if len(low) < d:
+            low += [0] * (d - len(low))
+        high = c[d:]
+        if any(high):
+            if fold_den != 1:
+                low = [fold_den * v for v in low]
+                den *= fold_den
+            for v, row in zip(high, rows):
+                if v:
+                    for k, r in enumerate(row):
+                        low[k] += v * r
+        p = self.base.char
+        if p:
+            return ExtScalar(self, tuple([v % p for v in low]))
+        return ExtScalar(self, tuple([Fraction(v, den) for v in low]))
 
     def from_base(self, raw):
         return self.element([raw])
@@ -518,10 +575,18 @@ class ExtScalar:
         k = field.base
         if field.degree == 1:
             return ExtScalar(field, (k.mul(self.coeffs[0], other.coeffs[0]),))
-        prod = _poly_mul(k, list(self.coeffs), list(other.coeffs))
-        prod = _poly_mod(k, prod, list(field.min_poly))
-        prod += [k.zero] * (field.degree - len(prod))
-        return ExtScalar(field, tuple(prod))
+        if k.char:
+            a, b, den = self.coeffs, other.coeffs, 1
+        else:
+            a, da = _clear_denominators(self.coeffs)
+            b, db = _clear_denominators(other.coeffs)
+            den = da * db
+        prod = [0] * (2 * field.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return field._reduce(prod, den)
 
     __rmul__ = __mul__
 
@@ -535,9 +600,7 @@ class ExtScalar:
         d, u, _ = _poly_ext_gcd(k, _poly_trim(list(self.coeffs)), list(field.min_poly))
         if len(d) != 1:
             raise LocalFieldError("element not invertible; minimal polynomial reducible?")
-        u = _poly_mod(k, [k.div(c, d[0]) for c in u], list(field.min_poly))
-        u += [k.zero] * (field.degree - len(u))
-        return ExtScalar(field, tuple(u))
+        return field.element([k.div(c, d[0]) for c in u])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -612,6 +675,13 @@ class ExtScalar:
     def norm(self):
         """Determinant of the multiplication matrix; the base-field norm n_{k'/k}."""
         return _det(self.field.base, self.mult_matrix())
+
+
+def _clear_denominators(values):
+    """(integers, den) with values[i] == integers[i] / den, den the lcm of the
+    denominators; int values pass with den 1."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _det(k, m):

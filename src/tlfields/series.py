@@ -14,6 +14,21 @@ out in ExtScalar values at depth 0.  Each level records
 largest provably-correct output window from its input windows, and raises
 InsufficientPrecision instead of returning coefficients outside guarantees.
 Exact zero is treated as infinitely precise throughout.
+
+Multiplication at depth 1 over a field of degree d >= 2 runs on one big-int
+product (Kronecker substitution, as in D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput. 2009).
+Each operand's first n coordinate vectors are packed into a Python int: t-slot
+i holds 2d-1 x-slots, of which the coordinates fill the low d.  Over QQ the
+operand is first cleared of denominators (the lcm of all of them).  The slot
+width comes from the bound min(len a, len b) * d * max|a| * max|b| on every
+slot of the product, plus a sign bit over QQ, so no slot overflows into the
+next.  The two ints are multiplied once; the first n t-slots are unpacked
+(signed slots with a borrow) and each is reduced once through the field's fold
+table, dividing by the product of the two lcms over QQ.  The order, end and
+exactness of the result come from the window rules before the kernel runs, so
+the result equals the coefficientwise convolution.  Degree-1 fields and deeper
+levels keep the convolution; the inverse keeps its recurrence.
 """
 
 from .errors import (
@@ -23,7 +38,7 @@ from .errors import (
     LocalFieldError,
     NotUniformizers,
 )
-from .scalars import ExtScalar
+from .scalars import ExtScalar, _clear_denominators
 
 DEFAULT_WINDOW = 8
 
@@ -305,7 +320,11 @@ class Series:
         n = max(0, end - start)
         a, zero, is_zero = self._level1_values()
         b = other._level1_values()[0]
-        acc = self._from_level1_values(_convolve(a, b, n, zero, is_zero))
+        if self.depth == 1 and self.field.degree > 1:
+            values = _packed_product(self.field, a, b, n)
+        else:
+            values = _convolve(a, b, n, zero, is_zero)
+        acc = self._from_level1_values(values)
         if end < start:
             start = end
         return Series(self.field, self.depth, order=start, coeffs=acc, exact=exact)
@@ -515,6 +534,63 @@ def _convolve(a, b, n, zero, is_zero):
                 break
             acc[i + j] = acc[i + j] + x * y
     return acc
+
+
+def _packed_product(field, a, b, n):
+    """_convolve(a, b, n, ...) for ExtScalar lists over a field of degree >= 2,
+    by one product of packed big ints (see the module docstring)."""
+    d = field.degree
+    a, b = a[:n], b[:n]
+    p = field.char
+    if p:
+        xa = [c for s in a for c in s.coeffs]
+        xb = [c for s in b for c in s.coeffs]
+        den = 1
+    else:
+        xa, da = _clear_denominators([c for s in a for c in s.coeffs])
+        xb, db = _clear_denominators([c for s in b for c in s.coeffs])
+        den = da * db
+    top_a = max(map(abs, xa), default=0)
+    top_b = max(map(abs, xb), default=0)
+    if not top_a or not top_b:
+        return [field.zero] * n
+    bound = min(len(a), len(b)) * d * top_a * top_b
+    # bytes per slot; over QQ the slots are signed and need one more bit
+    width = (bound.bit_length() + (0 if p else 1) + 7) // 8
+    pack = _pack if p else _pack_signed
+    prod = pack(xa, d, width) * pack(xb, d, width)
+    size = n * (2 * d - 1) * width
+    raw = (prod & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    if p:
+        slots = [int.from_bytes(raw[o:o + width], "little") for o in range(0, size, width)]
+    else:
+        # the slots below sum to a negative number exactly when the last nonzero
+        # one is negative, and then this slot reads one less than its value
+        slots = []
+        borrow = 0
+        for o in range(0, size, width):
+            v = int.from_bytes(raw[o:o + width], "little", signed=True) + borrow
+            if v:
+                borrow = v < 0
+            slots.append(v)
+    step = 2 * d - 1
+    return [field._reduce(slots[o:o + step], den) for o in range(0, len(slots), step)]
+
+
+def _pack(values, d, width):
+    """The nonnegative coordinates of a coefficient list as one int: coordinate k
+    of coefficient i at bit 8 * width * (i * (2d - 1) + k)."""
+    chunks = [v.to_bytes(width, "little") for v in values]
+    gap = bytes(width * (d - 1))
+    return int.from_bytes(
+        gap.join([b"".join(chunks[o:o + d]) for o in range(0, len(chunks), d)]), "little"
+    )
+
+
+def _pack_signed(values, d, width):
+    """_pack for coordinates of either sign: the positive parts less the negative."""
+    return (_pack([max(v, 0) for v in values], d, width)
+            - _pack([max(-v, 0) for v in values], d, width))
 
 
 def _invert(c, d0, w, zero, is_zero):

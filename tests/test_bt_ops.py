@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tlfields.errors import NotCertifiable
+from tlfields.errors import LocalFieldError, NotCertifiable
 from tlfields.scalars import make_extension
 from tlfields.series import Series, agree_within_window, random_series
 from tlfields.bt_ops import (
@@ -129,6 +129,17 @@ class TestCertify:
             certify_membership(op, (1, 1))
         with pytest.raises(NotCertifiable):
             certify_membership(op, (1, 2))
+
+    @pytest.mark.parametrize("depth", [0, -1, 1.5])
+    def test_ladder_depth_below_one_rejected(self, K2, depth):
+        # with no rungs a target (i, j), i >= 2, used to certify vacuously
+        op = MulBy(K2, K2.gen(2))
+        with pytest.raises(LocalFieldError) as ei:
+            certify_membership(op, (2, 2), ladder_depth=depth)
+        assert not isinstance(ei.value, NotCertifiable)
+        assert "ladder depth" in str(ei.value)
+        with pytest.raises(NotCertifiable):
+            certify_membership(op, (2, 2))
 
     def test_commutator_certifies_both(self, K1):
         # [pi f, g] = pi f g - g pi f is bounded and kills a lattice

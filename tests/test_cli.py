@@ -181,6 +181,23 @@ class TestCommands:
         assert captured.out == ""
         assert "--twist-depth" in captured.err
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_ladder_depth_below_one_rejected_at_parsing(self, capsys, depth):
+        # a ladder with no rungs used to certify (i, j) with i >= 2 vacuously
+        with pytest.raises(SystemExit) as ei:
+            main(["certify", "--n", "2", "--target", "2,2", "--ladder-depth", depth, "mul(t2)"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--ladder-depth" in captured.err
+
+    def test_kummer_zero_reaches_the_index_check(self, capsys):
+        code, out = run_cli(capsys, "trace-form", "--n", "1", "--kummer", "0", "t1^-1 * d(t1)")
+        assert code == 4
+        data = json.loads(out)
+        assert data["code"] == "unsupported-extension"
+        assert "positive integer" in data["error"]
+
     def test_twist_depth_zero_accepted(self, capsys):
         code, out = run_cli(capsys, "lift-matrix", "--n", "2", "--twist-depth", "0")
         assert code == 0

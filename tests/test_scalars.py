@@ -255,3 +255,65 @@ class TestDegreeOneFastPath:
         assert q.one != f5.one
         with pytest.raises(LocalFieldError):
             q.one + f5.one
+
+
+# -- fold-table multiply and reduction against the polynomial route ----------
+
+FOLD_FIELDS = [
+    make_extension(5, [-2, 0, 1]),  # F5[x]/(x^2 - 2)
+    make_extension(2, [1, 1, 0, 1]),  # F2[x]/(x^3 + x + 1)
+    make_extension(0, [1, 0, 1]),  # Q(i)
+    make_extension(0, [-2, 0, 0, 1]),  # Q(cbrt 2)
+    make_extension(0, [Fraction(1, 2), 0, Fraction(3, 4), 1]),  # non-integral m(x)
+]
+
+
+def _high(field):
+    """A raw base-field value of height up to 10^3 (zero included)."""
+    if field.char:
+        return st.integers(0, field.char - 1)
+    return st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+@st.composite
+def _fold_pair(draw):
+    field = draw(st.sampled_from(FOLD_FIELDS))
+    scalar = st.one_of(
+        st.just(field.zero),
+        st.tuples(*[_high(field)] * field.degree).map(lambda c: ExtScalar(field, c)),
+    )
+    return field, draw(scalar), draw(scalar)
+
+
+def _types(coeffs):
+    return [type(c) for c in coeffs]
+
+
+class TestFoldTable:
+    def test_rows_are_reduced_powers(self):
+        for field in FOLD_FIELDS:
+            k, d = field.base, field.degree
+            assert len(field._fold) == d - 1
+            for j, row in enumerate(field._fold):
+                power = [k.zero] * (d + j) + [k.one]
+                want = _padded(field, _poly_mod(k, power, list(field.min_poly)))
+                assert tuple(k.from_fraction(Fraction(r, field._fold_den)) for r in row) == want
+
+    @PROPERTY
+    @given(_fold_pair())
+    def test_multiply_matches_polynomial_route(self, case):
+        field, a, b = case
+        got, want = (a * b).coeffs, _generic_mul(field, a, b)
+        assert got == want
+        assert _types(got) == _types(want)
+
+    @PROPERTY
+    @given(st.sampled_from(FOLD_FIELDS).flatmap(
+        lambda f: st.tuples(st.just(f), st.lists(_high(f), max_size=14))))
+    def test_element_reduces_like_the_remainder(self, case):
+        field, coeffs = case
+        k = field.base
+        got = field.element(coeffs).coeffs
+        want = _padded(field, _poly_mod(k, _poly_trim(list(coeffs)), list(field.min_poly)))
+        assert got == want
+        assert _types(got) == _types(want)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,12 @@ from tlfields.errors import (
 from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
+    _convolve,
+    _packed_product,
     agree_within_window,
     newton_inverse_1d,
     random_series,
+    truncate_box,
     truncate_level1,
 )
 
@@ -35,9 +39,17 @@ def S(field, depth, terms):
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
-# QQ, F_5 and F_25 = F5[x]/(x^2-2): the degree-1 and the generic scalar paths
-KERNEL_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1]),
-                 make_extension(5, [-2, 0, 1])]
+# the packed depth-1 product's fields: F25, F8, Q(i), Q(cbrt 2), non-integral m(x)
+PACKED_FIELDS = [
+    make_extension(5, [-2, 0, 1]),
+    make_extension(2, [1, 1, 0, 1]),
+    make_extension(0, [1, 0, 1]),
+    make_extension(0, [-2, 0, 0, 1]),
+    make_extension(0, [Fraction(1, 2), 0, Fraction(3, 4), 1]),
+]
+
+# QQ and F_5 (the degree-1 paths) and the fields of the packed product
+KERNEL_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1])] + PACKED_FIELDS
 
 
 def _scalar(field):
@@ -382,11 +394,38 @@ class TestWindowSoundness:
             self._compare(img_win, img_full)
             checked += 1
 
+    @pytest.mark.parametrize(
+        "field", [make_extension(0, [1, 0, 1]), make_extension(5, [-2, 0, 1])],
+        ids=["Q(i)", "F25"],
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_extension_mul_and_inv(self, field, depth):
+        rng = random.Random(70 + depth)
+        products = inverses = 0
+        for _ in range(400):
+            if products >= 12 and inverses >= 8:
+                break
+            x_full = random_series(field, depth, rng, max_terms=3, exp_span=2)
+            y = random_series(field, depth, rng, max_terms=3, exp_span=2)
+            if x_full.is_exact_zero():
+                continue
+            ends = [x_full.order + rng.randint(1, 5)]
+            ends += [rng.randint(0, 4) for _ in range(depth - 1)]
+            x_win = truncate_box(x_full, ends)
+            self._compare(x_win * y, x_full * y)
+            products += 1
+            try:
+                inv_win = x_win.inv(6)
+            except InsufficientPrecision:
+                continue
+            self._compare(inv_win, x_full.inv(12))
+            inverses += 1
+        assert products >= 12 and inverses >= 8
 
     @PROPERTY
     @given(_depth_one_pair(first_exact=True), st.integers(1, 5))
     def test_depth_one_kernels(self, case, cut):
-        """Depth-1 mul, add and inv over QQ, F_5 and F_25 against a wider window."""
+        """Depth-1 mul, add and inv over KERNEL_FIELDS against a wider window."""
         _, x_full, y = case
         if x_full.is_exact_zero():
             return
@@ -473,6 +512,52 @@ class TestDepthOneKernels:
             for i in range(k + 1):
                 acc = acc + xs.get(x.order + i, field.zero) * qs[q.order + k - i]
             assert acc == (field.one if k == 0 else field.zero), k
+
+
+def _high_scalar(field):
+    """A scalar whose coordinates have height up to 10^3."""
+    if field.char:
+        raw = st.integers(0, field.char - 1)
+    else:
+        raw = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+    return st.tuples(*[raw] * field.degree).map(lambda c: ExtScalar(field, c))
+
+
+@st.composite
+def _packed_case(draw):
+    field = draw(st.sampled_from(PACKED_FIELDS))
+    values = st.lists(st.one_of(st.just(field.zero), _high_scalar(field)), max_size=10)
+    # n from 0 to past the full product length 2 * 10 - 1
+    return field, draw(values), draw(values), draw(st.integers(0, 22))
+
+
+def _assert_same_values(got, want, field):
+    assert got == want
+    for g, w in zip(got, want):
+        assert g.field is field
+        assert [type(c) for c in g.coeffs] == [type(c) for c in w.coeffs]
+
+
+class TestPackedProduct:
+    """The Kronecker-packed depth-1 product equals the convolution."""
+
+    @PROPERTY
+    @given(_packed_case())
+    def test_equals_convolution(self, case):
+        field, a, b, n = case
+        got = _packed_product(field, a, b, n)
+        _assert_same_values(got, _convolve(a, b, n, field.zero, ExtScalar.is_zero), field)
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 7, 12, 30])
+    def test_slots_at_the_bound(self, field, n):
+        # every coordinate at its largest height and all products of one sign
+        # (negative over QQ), so the middle slot reaches the width bound
+        top = field.char - 1 if field.char else Fraction(-1000, 997)
+        a = [ExtScalar(field, (top,) * field.degree)] * 12
+        b = [ExtScalar(field, (top if field.char else -top,) * field.degree)] * 12
+        got = _packed_product(field, a, b, n)
+        _assert_same_values(got, _convolve(a, b, n, field.zero, ExtScalar.is_zero), field)
 
 
 class TestCompositionalInverse:
