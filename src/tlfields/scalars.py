@@ -540,7 +540,10 @@ class ExtScalar:
         k = field.base
         if field.degree == 1:
             return ExtScalar(field, (k.add(self.coeffs[0], other.coeffs[0]),))
-        return ExtScalar(field, tuple(k.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        p = k.char
+        if p:
+            return ExtScalar(field, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+        return ExtScalar(field, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
@@ -552,7 +555,10 @@ class ExtScalar:
         k = field.base
         if field.degree == 1:
             return ExtScalar(field, (k.sub(self.coeffs[0], other.coeffs[0]),))
-        return ExtScalar(field, tuple(k.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        p = k.char
+        if p:
+            return ExtScalar(field, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+        return ExtScalar(field, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -565,7 +571,10 @@ class ExtScalar:
         k = field.base
         if field.degree == 1:
             return ExtScalar(field, (k.neg(self.coeffs[0]),))
-        return ExtScalar(field, tuple(k.neg(a) for a in self.coeffs))
+        p = k.char
+        if p:
+            return ExtScalar(field, tuple([-a % p for a in self.coeffs]))
+        return ExtScalar(field, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         other = self._coerce(other)

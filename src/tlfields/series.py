@@ -15,21 +15,40 @@ largest provably-correct output window from its input windows, and raises
 InsufficientPrecision instead of returning coefficients outside guarantees.
 Exact zero is treated as infinitely precise throughout.
 
-Multiplication at depth 1 over a field of degree d >= 2 runs on one big-int
-product (Kronecker substitution, as in D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symb. Comput. 2009).
-Each operand's first n coordinate vectors are packed into a Python int: t-slot
-i holds 2d-1 x-slots, of which the coordinates fill the low d.  Over QQ the
-operand is first cleared of denominators (the lcm of all of them).  The slot
-width comes from the bound min(len a, len b) * d * max|a| * max|b| on every
-slot of the product, plus a sign bit over QQ, so no slot overflows into the
-next.  The two ints are multiplied once; the first n t-slots are unpacked
-(signed slots with a borrow) and each is reduced once through the field's fold
-table, dividing by the product of the two lcms over QQ.  The order, end and
-exactness of the result come from the window rules before the kernel runs, so
-the result equals the coefficientwise convolution.  Degree-1 fields and deeper
-levels keep the convolution; the inverse keeps its recurrence.
+A product is computed in two parts.  Its *shape* -- the start, end and
+exactness of the stored range at every level, and which coefficients are exact
+zeros -- comes from the window rules alone, on integers: the product rule of
+``__mul__`` at the top, and below it, per coefficient, the sum rule of
+``__add__`` over the products of the pairs of coefficients that are not exact
+zeros, as the convolution visits them.  Its *values* are the coefficients of
+the full product of the stored terms, which the window rules guarantee at every
+index the shape keeps.  The result is built from shape and values through the
+constructor, whose stripping makes it canonical; the exact zeros a coefficient
+strips in the convolution add nothing there, so both routes give one series.
+
+When both operands store at least ``_PACK_MIN_COEFFS`` level-1 coefficients
+(half as many at depth 2 and deeper) the values come from one big-int product
+(Kronecker substitution, as in D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 2009), at any depth and
+over any field.  Each stored coordinate of an operand takes a slot of one
+Python int: level l has span_x(l) + span_y(l) - 1 slots per step of the level
+above, span being the operand's range of stored exponents there, and each
+scalar takes 2d - 1 slots, of which its d coordinates fill the low ones.  Over
+QQ each operand is first cleared of denominators (the lcm of all of them).  The
+slot width comes from the bound min(#terms x, #terms y) * d * max|x| * max|y|
+on every slot of the product, plus a sign bit over QQ, so no slot spills into
+the next; over QQ the product is then offset by half a slot in every slot, so
+each slot reads back unsigned on its own.  Only the slots the shape keeps are
+read, and each scalar is reduced once through the field's fold table (dividing
+by the product of the two lcms over QQ).
+
+Smaller products, and operands so sparse that the packed box would hold more
+than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep the
+coefficientwise convolution; the inverse keeps its recurrence.
 """
+
+from fractions import Fraction
+from math import prod
 
 from .errors import (
     DivisionByZero,
@@ -41,6 +60,14 @@ from .errors import (
 from .scalars import ExtScalar, _clear_denominators
 
 DEFAULT_WINDOW = 8
+
+# A product packs when both operands store at least this many level-1
+# coefficients, each counted twice at depth 2 and deeper, where it is a series
+# itself; below that the convolution costs less than building the ints.
+_PACK_MIN_COEFFS = 4
+# The packed box may hold at most this many slots per pair of stored scalars;
+# sparser operands with wide exponent spans keep the convolution.
+_PACK_BOX_PER_PAIR = 8
 
 
 class Series:
@@ -221,22 +248,16 @@ class Series:
             return other
         if other.is_exact_zero():
             return self
-        start = min(self.order, other.order)
-        ends = [e for e in (self.end, other.end) if e is not None]
-        if ends:
-            end = min(ends)
-            exact = False
-        else:
-            end = max(self.order + len(self.coeffs), other.order + len(other.coeffs))
-            exact = True
-        n = max(0, end - start)
+        start, end, exact = _sum_window(
+            self.order, self.order + len(self.coeffs), self.exact,
+            other.order, other.order + len(other.coeffs), other.exact,
+        )
+        n = end - start
         a, zero, _ = self._level1_values()
         b = other._level1_values()[0]
         a = _pad(a, self.order - start, n, zero)
         b = _pad(b, other.order - start, n, zero)
         out = self._from_level1_values([x + y for x, y in zip(a, b)])
-        if end < start:
-            start = end
         return Series(self.field, self.depth, order=start, coeffs=out, exact=exact)
 
     __radd__ = __add__
@@ -305,28 +326,18 @@ class Series:
             return Series(self.field, 0, scalar=self.scalar * other.scalar)
         if self.is_exact_zero() or other.is_exact_zero():
             return Series.zero(self.field, self.depth)
-        start = self.order + other.order
-        bounds = []
-        if self.end is not None:
-            bounds.append(self.end + other.order)
-        if other.end is not None:
-            bounds.append(other.end + self.order)
-        if bounds:
-            end = min(bounds)
-            exact = False
-        else:
-            end = start + len(self.coeffs) + len(other.coeffs) - 1
-            exact = True
-        n = max(0, end - start)
+        weight = 1 if self.depth == 1 else 2
+        if min(len(self.coeffs), len(other.coeffs)) * weight >= _PACK_MIN_COEFFS:
+            product = _kronecker_product(self, other)
+            if product is not None:
+                return product
+        start, end, exact = _mul_window(
+            self.order, self.order + len(self.coeffs), self.exact,
+            other.order, other.order + len(other.coeffs), other.exact,
+        )
         a, zero, is_zero = self._level1_values()
         b = other._level1_values()[0]
-        if self.depth == 1 and self.field.degree > 1:
-            values = _packed_product(self.field, a, b, n)
-        else:
-            values = _convolve(a, b, n, zero, is_zero)
-        acc = self._from_level1_values(values)
-        if end < start:
-            start = end
+        acc = self._from_level1_values(_convolve(a, b, end - start, zero, is_zero))
         return Series(self.field, self.depth, order=start, coeffs=acc, exact=exact)
 
     __rmul__ = __mul__
@@ -375,12 +386,18 @@ class Series:
             raise LocalFieldError("series exponent must be an integer")
         if n < 0:
             return self.inv(window).__pow__(-n, window)
-        acc = Series.one(self.field, self.depth)
+        if n == 0:
+            return Series.one(self.field, self.depth)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        acc = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
         return acc
 
@@ -493,8 +510,6 @@ class Series:
 
     @classmethod
     def from_json(cls, field, depth, data):
-        from fractions import Fraction
-
         if depth == 0:
             raw = [Fraction(c) if field.char == 0 else int(c) for c in data["scalar"]]
             return cls(field, 0, scalar=field.element(raw))
@@ -536,61 +551,203 @@ def _convolve(a, b, n, zero, is_zero):
     return acc
 
 
-def _packed_product(field, a, b, n):
-    """_convolve(a, b, n, ...) for ExtScalar lists over a field of degree >= 2,
-    by one product of packed big ints (see the module docstring)."""
+def _sum_window(xs, xe, xx, ys, ye, yx):
+    """(start, end, exact) of the stored range of a sum, from the stored ranges
+    [xs, xe), [ys, ye) of the operands and their exactness."""
+    start = min(xs, ys)
+    if xx:
+        if yx:
+            return start, max(xe, ye), True
+        return start, ye, False
+    if yx:
+        return start, xe, False
+    return start, min(xe, ye), False
+
+
+def _mul_window(xs, xe, xx, ys, ye, yx):
+    """(start, end, exact) of the stored range of a product of two series that
+    are not exact zeros, from their stored ranges and exactness."""
+    start = xs + ys
+    if xx:
+        if yx:
+            return start, xe + ye - 1, True
+        return start, ye + xs, False
+    if yx:
+        return start, xe + ys, False
+    return start, min(xe + ys, ye + xs), False
+
+
+def _product_shape(x, y):
+    """The shape of x * y for series x, y that are not exact zeros.
+
+    At depth 1 it is the stored range (start, end, exact).  Deeper it is
+    (start, end, exact, children), children[k] being the shape of the
+    coefficient of t_1^(start + k): the sum of the shapes of the products of
+    the pairs of coefficients that meet there and are not exact zeros, or None
+    where no pair meets (an exact zero), as _convolve visits them.
+    """
+    start, end, exact = _mul_window(
+        x.order, x.order + len(x.coeffs), x.exact, y.order, y.order + len(y.coeffs), y.exact
+    )
+    if x.depth == 1:
+        return start, end, exact
+    n = end - start
+    children = [None] * n
+    ys = [(j, c) for j, c in enumerate(y.coeffs) if not c.is_exact_zero()]
+    for i, a in enumerate(x.coeffs[:n]):
+        if a.is_exact_zero():
+            continue
+        for j, b in ys:
+            k = i + j
+            if k >= n:
+                break
+            s = _product_shape(a, b)
+            children[k] = s if children[k] is None else _sum_shape(children[k], s)
+    return start, end, exact, children
+
+
+def _sum_shape(x, y):
+    """The shape of the sum of two series with shapes x and y."""
+    start, end, exact = _sum_window(x[0], x[1], x[2], y[0], y[1], y[2])
+    if len(x) == 3:
+        return start, end, exact
+    xs, xe, xc = x[0], x[1], x[3]
+    ys, ye, yc = y[0], y[1], y[3]
+    children = []
+    for k in range(start, end):
+        a = xc[k - xs] if xs <= k < xe else None
+        b = yc[k - ys] if ys <= k < ye else None
+        children.append(b if a is None else a if b is None else _sum_shape(a, b))
+    return start, end, exact, children
+
+
+def _stored_rows(x, path=()):
+    """(path, order, scalars) for each depth-1 coefficient of x that stores
+    scalars, path holding its exponents at the levels above."""
+    if x.depth == 1:
+        return [(path, x.order, [c.scalar for c in x.coeffs])] if x.coeffs else []
+    rows = []
+    for k, c in enumerate(x.coeffs, x.order):
+        if c.coeffs:
+            rows += _stored_rows(c, path + (k,))
+    return rows
+
+
+def _extents(rows, depth):
+    """The lowest stored exponent and the span of stored exponents per level."""
+    lo = [min(r[0][level] for r in rows) for level in range(depth - 1)]
+    hi = [max(r[0][level] for r in rows) for level in range(depth - 1)]
+    lo.append(min(r[1] for r in rows))
+    hi.append(max(r[1] + len(r[2]) - 1 for r in rows))
+    return lo, [h - l + 1 for l, h in zip(lo, hi)]
+
+
+def _pack(rows, values, lo, span, strides, d, width):
+    """The integer coordinates `values` of the scalars stored in rows as one
+    int: coordinate e of the scalar at exponents k sits in slot
+    sum_l (k_l - lo_l) * strides[l] + e, each slot 8 * width bits wide; span
+    is the span of the level-1 exponents."""
+    last = strides[-1]
+    pos = bytearray(strides[0] * span * width)
+    neg = None
+    i = 0
+    for path, order, scalars in rows:
+        o = (order - lo[-1]) * last
+        for k, low, stride in zip(path, lo, strides):
+            o += (k - low) * stride
+        for _ in scalars:
+            for b in range(o * width, (o + d) * width, width):
+                v = values[i]
+                i += 1
+                if v > 0:
+                    pos[b:b + width] = v.to_bytes(width, "little")
+                elif v < 0:
+                    if neg is None:
+                        neg = bytearray(len(pos))
+                    neg[b:b + width] = (-v).to_bytes(width, "little")
+            o += last
+    packed = int.from_bytes(pos, "little")
+    if neg is not None:
+        packed -= int.from_bytes(neg, "little")
+    return packed
+
+
+def _kronecker_product(x, y):
+    """x * y by one product of packed big ints (see the module docstring), for
+    series x, y of one depth and field that are not exact zeros; None when the
+    packed box would hold too many slots per pair of stored scalars."""
+    field, depth = x.field, x.depth
+    xrows, yrows = _stored_rows(x), _stored_rows(y)
+    xn = sum(len(r[2]) for r in xrows)
+    yn = sum(len(r[2]) for r in yrows)
+    if not xn or not yn:
+        return None
+    xlo, xspan = _extents(xrows, depth)
+    ylo, yspan = _extents(yrows, depth)
+    sizes = [a + b - 1 for a, b in zip(xspan, yspan)]
+    if prod(sizes) > _PACK_BOX_PER_PAIR * xn * yn:
+        return None
     d = field.degree
-    a, b = a[:n], b[:n]
+    strides = [2 * d - 1]
+    for size in reversed(sizes[1:]):
+        strides.insert(0, strides[0] * size)
     p = field.char
+    xv = [c for r in xrows for s in r[2] for c in s.coeffs]
+    yv = [c for r in yrows for s in r[2] for c in s.coeffs]
     if p:
-        xa = [c for s in a for c in s.coeffs]
-        xb = [c for s in b for c in s.coeffs]
         den = 1
     else:
-        xa, da = _clear_denominators([c for s in a for c in s.coeffs])
-        xb, db = _clear_denominators([c for s in b for c in s.coeffs])
-        den = da * db
-    top_a = max(map(abs, xa), default=0)
-    top_b = max(map(abs, xb), default=0)
-    if not top_a or not top_b:
-        return [field.zero] * n
-    bound = min(len(a), len(b)) * d * top_a * top_b
+        xv, xd = _clear_denominators(xv)
+        yv, yd = _clear_denominators(yv)
+        den = xd * yd
+    bound = min(xn, yn) * d * max(map(abs, xv)) * max(map(abs, yv))
     # bytes per slot; over QQ the slots are signed and need one more bit
     width = (bound.bit_length() + (0 if p else 1) + 7) // 8
-    pack = _pack if p else _pack_signed
-    prod = pack(xa, d, width) * pack(xb, d, width)
-    size = n * (2 * d - 1) * width
-    raw = (prod & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    if p:
-        slots = [int.from_bytes(raw[o:o + width], "little") for o in range(0, size, width)]
-    else:
-        # the slots below sum to a negative number exactly when the last nonzero
-        # one is negative, and then this slot reads one less than its value
-        slots = []
-        borrow = 0
-        for o in range(0, size, width):
-            v = int.from_bytes(raw[o:o + width], "little", signed=True) + borrow
-            if v:
-                borrow = v < 0
-            slots.append(v)
-    step = 2 * d - 1
-    return [field._reduce(slots[o:o + step], den) for o in range(0, len(slots), step)]
+    packed = (_pack(xrows, xv, xlo, xspan[0], strides, d, width)
+              * _pack(yrows, yv, ylo, yspan[0], strides, d, width))
+    total = strides[0] * sizes[0]
+    half = 0
+    if not p:
+        # add half a slot to every slot, so each reads back unsigned on its own
+        half = 1 << (8 * width - 1)
+        packed += int.from_bytes((bytes(width - 1) + b"\x80") * total, "little")
+    raw = packed.to_bytes(total * width, "little")
 
+    los = [a + b for a, b in zip(xlo, ylo)]
+    step = (2 * d - 1) * width
+    reduce = field._reduce
+    zero = Series(field, 0, scalar=field.zero)
 
-def _pack(values, d, width):
-    """The nonnegative coordinates of a coefficient list as one int: coordinate k
-    of coefficient i at bit 8 * width * (i * (2d - 1) + k)."""
-    chunks = [v.to_bytes(width, "little") for v in values]
-    gap = bytes(width * (d - 1))
-    return int.from_bytes(
-        gap.join([b"".join(chunks[o:o + d]) for o in range(0, len(chunks), d)]), "little"
-    )
+    def scalar_at(slot):
+        o = slot * width
+        if d == 1:
+            v = int.from_bytes(raw[o:o + width], "little") - half
+            return ExtScalar(field, (v % p if p else Fraction(v, den),))
+        return reduce([int.from_bytes(raw[i:i + width], "little") - half
+                       for i in range(o, o + step, width)], den)
 
+    def build(shape, level, base):
+        # base: the slot of exponent los[level] at this level, None outside the box
+        start, end, exact = shape[0], shape[1], shape[2]
+        lo, size, stride = los[level], sizes[level], strides[level]
+        if level == depth - 1:
+            coeffs = [zero] * (end - start)
+            if base is not None:
+                for k in range(max(start, lo), min(end, lo + size)):
+                    coeffs[k - start] = Series(field, 0, scalar=scalar_at(base + (k - lo) * stride))
+            return Series(field, 1, order=start, coeffs=coeffs, exact=exact)
+        inner_zero = Series.zero(field, depth - level - 1)
+        coeffs = []
+        for k, child in enumerate(shape[3], start):
+            if child is None:
+                coeffs.append(inner_zero)
+            elif base is None or not 0 <= k - lo < size:
+                coeffs.append(build(child, level + 1, None))
+            else:
+                coeffs.append(build(child, level + 1, base + (k - lo) * stride))
+        return Series(field, depth - level, order=start, coeffs=coeffs, exact=exact)
 
-def _pack_signed(values, d, width):
-    """_pack for coordinates of either sign: the positive parts less the negative."""
-    return (_pack([max(v, 0) for v in values], d, width)
-            - _pack([max(-v, 0) for v in values], d, width))
+    return build(_product_shape(x, y), 0, 0)
 
 
 def _invert(c, d0, w, zero, is_zero):

@@ -317,3 +317,25 @@ class TestFoldTable:
         want = _padded(field, _poly_mod(k, _poly_trim(list(coeffs)), list(field.min_poly)))
         assert got == want
         assert _types(got) == _types(want)
+
+
+# -- extension add, sub and neg against the base-field route -----------------
+
+ADD_FIELDS = [FOLD_FIELDS[0], FOLD_FIELDS[2]]  # F5[x]/(x^2 - 2), Q(i)
+
+
+class TestExtensionAddSub:
+    @PROPERTY
+    @given(st.sampled_from(ADD_FIELDS).flatmap(lambda f: st.tuples(
+        st.just(f), *[st.tuples(*[_high(f)] * f.degree).map(lambda c, f=f: ExtScalar(f, c))] * 2)))
+    def test_coordinatewise_like_the_base_field(self, case):
+        field, a, b = case
+        k = field.base
+        got = [(a + b).coeffs, (a - b).coeffs, (-a).coeffs]
+        want = [
+            tuple(k.add(x, y) for x, y in zip(a.coeffs, b.coeffs)),
+            tuple(k.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)),
+            tuple(k.neg(x) for x in a.coeffs),
+        ]
+        assert got == want
+        assert [_types(c) for c in got] == [_types(c) for c in want]

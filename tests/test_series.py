@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ from tlfields.errors import (
     InsufficientPrecision,
     NotUniformizers,
 )
+import tlfields.series as series_module
 from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
-    _convolve,
-    _packed_product,
+    _kronecker_product,
     agree_within_window,
     newton_inverse_1d,
     random_series,
@@ -39,7 +40,7 @@ def S(field, depth, terms):
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
-# the packed depth-1 product's fields: F25, F8, Q(i), Q(cbrt 2), non-integral m(x)
+# the proper extensions: F25, F8, Q(i), Q(cbrt 2), non-integral m(x)
 PACKED_FIELDS = [
     make_extension(5, [-2, 0, 1]),
     make_extension(2, [1, 1, 0, 1]),
@@ -48,7 +49,7 @@ PACKED_FIELDS = [
     make_extension(0, [Fraction(1, 2), 0, Fraction(3, 4), 1]),
 ]
 
-# QQ and F_5 (the degree-1 paths) and the fields of the packed product
+# QQ and F_5 (the degree-1 paths) and the proper extensions
 KERNEL_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1])] + PACKED_FIELDS
 
 
@@ -422,6 +423,27 @@ class TestWindowSoundness:
             inverses += 1
         assert products >= 12 and inverses >= 8
 
+    @pytest.mark.parametrize(
+        "field", [make_extension(0, [0, 1]), make_extension(5, [0, 1])], ids=repr
+    )
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_packed_multiplication(self, field, depth):
+        """Deep products over QQ and F_5, which take the packed kernel."""
+        rng = random.Random(80 + depth)
+        packed = 0
+        for _ in range(24 if depth == 2 else 16):
+            x_full = random_series(field, depth, rng, max_terms=20, exp_span=4 - depth)
+            y = random_series(field, depth, rng, max_terms=20, exp_span=4 - depth)
+            if x_full.is_exact_zero() or y.is_exact_zero():
+                continue
+            ends = [x_full.order + rng.randint(2, 6)]
+            ends += [rng.randint(0, 3) for _ in range(depth - 1)]
+            x_win = truncate_box(x_full, ends)
+            self._compare(x_win * y, x_full * y)
+            if min(len(x_win.coeffs), len(y.coeffs)) >= 2:
+                packed += _kronecker_product(x_win, y) is not None
+        assert packed >= (16 if depth == 2 else 10)
+
     @PROPERTY
     @given(_depth_one_pair(first_exact=True), st.integers(1, 5))
     def test_depth_one_kernels(self, case, cut):
@@ -523,41 +545,141 @@ def _high_scalar(field):
     return st.tuples(*[raw] * field.degree).map(lambda c: ExtScalar(field, c))
 
 
+def _series(field, depth, scalar, exponents):
+    """A series with exact and inexact levels, zero scalars, exact-zero
+    coefficients and inexact coefficients that store nothing."""
+    if depth == 0:
+        return scalar.map(lambda v: Series(field, 0, scalar=v))
+    coeff = _series(field, depth - 1, scalar, exponents)
+    if depth > 1:
+        coeff = st.one_of(
+            coeff,
+            coeff,
+            coeff,
+            st.just(Series.zero(field, depth - 1)),
+            exponents.map(lambda o: Series(field, depth - 1, order=o, exact=False)),
+        )
+    return st.builds(
+        lambda order, coeffs, exact: Series(field, depth, order=order, coeffs=coeffs, exact=exact),
+        exponents,
+        st.lists(coeff, min_size=1, max_size=6 if depth == 1 else 5),
+        st.booleans(),
+    )
+
+
 @st.composite
-def _packed_case(draw):
-    field = draw(st.sampled_from(PACKED_FIELDS))
-    values = st.lists(st.one_of(st.just(field.zero), _high_scalar(field)), max_size=10)
-    # n from 0 to past the full product length 2 * 10 - 1
-    return field, draw(values), draw(values), draw(st.integers(0, 22))
+def _product_case(draw):
+    """Two series of one depth (1-3) and field; the first may be cut to a
+    level-1 window or a box.  Narrow exponent ranges make dense operands, wide
+    ones sparse operands."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    depth = draw(st.integers(1, 3))
+    scalar = _high_scalar(field) if draw(st.booleans()) else _scalar(field)
+    exponents = draw(st.sampled_from([st.integers(0, 1), st.integers(-2, 2), st.integers(-12, 12)]))
+    x = draw(_series(field, depth, scalar, exponents))
+    y = draw(_series(field, depth, scalar, exponents))
+    cut = draw(st.sampled_from(["exact", "level1", "box"]))
+    if cut != "exact" and not x.is_exact_zero():
+        ends = [x.order + draw(st.integers(1, 6))]
+        if cut == "box":
+            ends += [draw(st.integers(1, 4)) for _ in range(depth - 1)]
+        x = truncate_box(x, ends)
+    return x, y
 
 
-def _assert_same_values(got, want, field):
+def _convolved(x, y):
+    """x * y with every product, at every level, on the convolution."""
+    saved = series_module._PACK_MIN_COEFFS
+    series_module._PACK_MIN_COEFFS = float("inf")
+    try:
+        return x * y
+    finally:
+        series_module._PACK_MIN_COEFFS = saved
+
+
+def _assert_same_series(got, want):
+    """Equal series, with equal repr and JSON and coordinates of equal types."""
     assert got == want
-    for g, w in zip(got, want):
-        assert g.field is field
-        assert [type(c) for c in g.coeffs] == [type(c) for c in w.coeffs]
+    assert repr(got) == repr(want)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert [(s.field, [type(c) for c in s.coeffs]) for _, s in got.known_terms()] == [
+        (s.field, [type(c) for c in s.coeffs]) for _, s in want.known_terms()
+    ]
 
 
 class TestPackedProduct:
-    """The Kronecker-packed depth-1 product equals the convolution."""
+    """The Kronecker-packed product equals the convolution at every depth."""
 
-    @PROPERTY
-    @given(_packed_case())
+    @settings(PROPERTY, max_examples=300)
+    @given(_product_case())
     def test_equals_convolution(self, case):
-        field, a, b, n = case
-        got = _packed_product(field, a, b, n)
-        _assert_same_values(got, _convolve(a, b, n, field.zero, ExtScalar.is_zero), field)
+        x, y = case
+        want = _convolved(x, y)
+        _assert_same_series(x * y, want)
+        if x.is_exact_zero() or y.is_exact_zero():
+            return
+        got = _kronecker_product(x, y)
+        if got is not None:  # None: the box would be too sparse to pack
+            _assert_same_series(got, want)
 
     @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
     @pytest.mark.parametrize("n", [1, 7, 12, 30])
     def test_slots_at_the_bound(self, field, n):
-        # every coordinate at its largest height and all products of one sign
-        # (negative over QQ), so the middle slot reaches the width bound
-        top = field.char - 1 if field.char else Fraction(-1000, 997)
-        a = [ExtScalar(field, (top,) * field.degree)] * 12
-        b = [ExtScalar(field, (top if field.char else -top,) * field.degree)] * 12
-        got = _packed_product(field, a, b, n)
-        _assert_same_values(got, _convolve(a, b, n, field.zero, ExtScalar.is_zero), field)
+        # y is cut to n coefficients, so the kept slot of t^(min(n, 12) - 1)
+        # sums m = min(n, 12) pairs: every coordinate at its largest height and
+        # every product of one sign (negative over QQ) put it at the width
+        # bound m * d * top^2.  Over QQ that bound also fills the last bit of
+        # its top byte and is no power of two, so a slot without the sign bit
+        # would spill into the next.
+        d, m = field.degree, min(n, 12)
+        if field.char:
+            top, x_coord, y_coord = field.char - 1, field.char - 1, field.char - 1
+        else:
+            def fills_top_byte(h):
+                bound = m * d * h * h
+                return bound.bit_length() % 8 == 0 and bound & (bound - 1)
+
+            top = next(h for h in range(2, 10**4) if fills_top_byte(h))
+            x_coord, y_coord = Fraction(top, 7), Fraction(-top, 5)
+        x = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (x_coord,) * d))] * 12)
+        y = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (y_coord,) * d))] * 12)
+        y = truncate_level1(y, n)
+        _assert_same_series(_kronecker_product(x, y), _convolved(x, y))
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS[:2], ids=repr)
+    def test_sparse_operand_keeps_the_convolution(self, field):
+        # four level-1 coefficients, each a single term at t2^-40 or t2^40:
+        # the packed box would hold 81 * 7 slots for 16 pairs of scalars
+        t1, t2 = Series.generator(field, 2, 1), Series.generator(field, 2, 2)
+        x = sum((t1 ** k * t2 ** (40 if k % 2 else -40) for k in range(4)), Series.zero(field, 2))
+        y = Series.one(field, 2) + t1 + t1 ** 2 + t1 ** 3
+        assert _kronecker_product(x, y) is None
+        _assert_same_series(x * y, _convolved(x, y))
+        _assert_same_series(_kronecker_product(y, y), _convolved(y, y))
+
+
+class TestPower:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS[:2], ids=repr)
+    def test_matches_repeated_multiplication(self, field):
+        t = Series.generator(field, 1, 1)
+        t1, t2 = Series.generator(field, 2, 1), Series.generator(field, 2, 2)
+        one1, one2 = Series.one(field, 1), Series.one(field, 2)
+        bases = [
+            one1 + t,
+            truncate_level1(t.inv() + 2 * t + t ** 3, 5),
+            truncate_box(t1 * (one2 + t2) + t1 ** 2 * t2.inv(), [3, 4]),
+            t1 * t2.inv() + 2 * t2,
+        ]
+        for x in bases:
+            one = one1 if x.depth == 1 else one2
+            acc = one
+            for n in range(71):
+                assert x ** n == acc, n
+                acc = acc * x
+            acc, inv = one, x.inv()
+            for n in range(1, 6):
+                acc = acc * inv
+                assert x ** -n == acc, -n
 
 
 class TestCompositionalInverse:
