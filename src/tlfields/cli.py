@@ -772,9 +772,23 @@ def build_parser():
     return parser
 
 
+def _join_negative_polys(argv):
+    """Join a polynomial flag to a following value that starts with '-' and a
+    digit, which argparse would read as an option: `--ext-poly -2,0,1` parses
+    as `--ext-poly=-2,0,1`."""
+    out = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1] in ("--ext-poly", "--upstairs-poly"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_polys(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -45,6 +45,11 @@ by the product of the two lcms over QQ).
 Smaller products, and operands so sparse that the packed box would hold more
 than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep the
 coefficientwise convolution; the inverse keeps its recurrence.
+
+Substitution t_i -> a_i runs Horner's rule in t_1, recursing into the inner
+levels, only below the level-1 end its result keeps: b_1 + 1, for the lex-least
+index (b_1, b_2, ...) the operand does not know.  Coefficients past that end
+are skipped and the accumulator is cut after every step, at every level.
 """
 
 from fractions import Fraction
@@ -430,7 +435,9 @@ class Series:
 
         Soundness of the window tracking relies on each assigned series having
         valuation equal to the corresponding standard basis vector, which is
-        checked here.
+        checked here.  The result keeps only the multi-indices lexicographically
+        below the first one x does not know, (b_1, b_2, ...), so the image is
+        evaluated only below the level-1 end b_1 + 1 (see _evaluate).
         """
         assignment = list(assignment)
         if len(assignment) != self.depth:
@@ -439,9 +446,9 @@ class Series:
         if self.is_exact_zero():
             return Series.zero(self.field, self.depth)
         bound = self.smallest_unknown_index()
-        result = _evaluate(self, assignment, self.depth, self.field, window)
         if bound is None:
-            return result
+            return _evaluate(self, assignment, self.depth, self.field, window)
+        result = _evaluate(self, assignment, self.depth, self.field, window, bound[0] + 1)
         return truncate_lex(result, bound)
 
     # -- comparisons / hashing ----------------------------------------------
@@ -779,15 +786,28 @@ def check_uniformizer_valuations(assignment):
             raise NotUniformizers(i + 1, f"valuation {v} != {expected}")
 
 
-def _evaluate(x, values, target_depth, field, window):
-    """Image of the known part of x under t_i -> values[i]."""
+def _evaluate(x, values, target_depth, field, window, end=None):
+    """Image of the known part of x under t_i -> values[i], computed only at
+    level-1 (t_1) exponents below end, or everywhere when end is None.
+
+    values[0] has t_1-order s: 1 for a_1, and 0 for a_i with i >= 2, whose
+    inverse has t_1-exponents >= 0 too.  The image of every coefficient of x
+    has t_1-exponents >= 0, so the term c_k * values[0]^(order + k) starts at
+    t_1^(s * (order + k)).  Horner's rule skips c_k where that is >= end, and
+    cuts the accumulator after the step of c_k at end - s * (order + k), which
+    is also the end handed down to c_k.
+    """
     if x.depth == 0:
         return Series.constant(field, target_depth, x.scalar)
     v1 = values[0]
     acc = Series.zero(field, target_depth)
-    for c in reversed(x.coeffs):
-        img = _evaluate(c, values[1:], target_depth, field, window)
-        acc = acc * v1 + img
+    for k in reversed(range(len(x.coeffs))):
+        cut = None if end is None else end - v1.order * (x.order + k)
+        if cut is not None and cut <= 0:
+            continue
+        acc = acc * v1 + _evaluate(x.coeffs[k], values[1:], target_depth, field, window, cut)
+        if cut is not None:
+            acc = truncate_level1(acc, cut)
     if x.order:
         acc = acc * v1.__pow__(x.order, window)
     return acc
@@ -881,7 +901,8 @@ def newton_inverse_1d(a, window=None):
 
 def _compose_1d(f, g, w):
     """f(g(t)) truncated past f's guaranteed window; v(g) >= 1 required."""
-    result = _evaluate(f, [g], 1, f.field, w)
+    result = _evaluate(f, [g], 1, f.field, w, f.end)
+    # the cut already stops the image at f.end, unless f stores no term
     if not f.exact:
         result = truncate_level1(result, f.end)
     return result

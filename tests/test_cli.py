@@ -223,6 +223,22 @@ class TestCommands:
         assert data["killed_shift"] == 0
         assert data["replayed"] is True
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["residue", "--n", "2", "--ext-poly", "-2,0,0,1", "dlog(t1,t2)"], "value", "3"),
+            (["trace-form", "--n", "1", "--upstairs-poly", "-2,0,1", "t1^-1*d(t1)"], "residue", "2"),
+        ],
+        ids=["ext-poly", "upstairs-poly"],
+    )
+    def test_negative_polynomial_separated_or_joined(self, capsys, argv, key, value):
+        # argparse alone reads a value that starts with "-2" as an option
+        joined = argv[:3] + [f"{argv[3]}={argv[4]}"] + argv[5:]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)[key] == value
+        assert run_cli(capsys, *joined) == (code, out)
+
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")
         _, out2 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")

@@ -15,12 +15,15 @@ import tlfields.series as series_module
 from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
+    _compose_1d,
     _kronecker_product,
     agree_within_window,
+    check_uniformizer_valuations,
     newton_inverse_1d,
     random_series,
     truncate_box,
     truncate_level1,
+    truncate_lex,
 )
 
 
@@ -370,30 +373,50 @@ class TestWindowSoundness:
             self._compare(inv_win, inv_full)
             checked += 1
 
-    def test_substitution(self, Q):
-        from tlfields.series import truncate_box
-
-        rng = random.Random(73)
-        t1 = Series.generator(Q, 2, 1)
-        t2 = Series.generator(Q, 2, 2)
-        one = Series.one(Q, 2)
+    @pytest.mark.parametrize(
+        "field",
+        [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_substitution(self, field, depth):
+        rng = random.Random(71 + depth)
+        t = [Series.generator(field, depth, i) for i in range(1, depth + 1)]
+        one = Series.one(field, depth)
         systems = [
-            [t1 * (one + t2), t2],
-            [t1, t2 + t1 * t2],
-            [t1 * (one + t2) + t1 * t1, t2 + t1 * t2 * t2],
+            [t[0] * (one + t[-1])] + t[1:],
+            [t[0]] + [ti + t[0] * ti for ti in t[1:]],
+            [t[0] * (one + t[-1]) + t[0] * t[0]] + [ti + t[0] * ti * ti for ti in t[1:]],
         ]
         checked = 0
-        while checked < 45:
-            x_full = random_series(Q, 2, rng, max_terms=3, exp_span=2)
+        while checked < (45 if depth < 3 else 24):
+            x_full = random_series(field, depth, rng, max_terms=3, exp_span=2)
             if x_full.is_exact_zero():
                 continue
-            ends = [x_full.order + rng.randint(1, 4), rng.randint(0, 3)]
+            ends = [x_full.order + rng.randint(1, 4)] + [rng.randint(0, 3) for _ in range(depth - 1)]
             x_win = truncate_box(x_full, ends)
             system = systems[checked % len(systems)]
             img_win = x_win.substitute(system, window=8)
             img_full = x_full.substitute(system, window=14)
             self._compare(img_win, img_full)
             checked += 1
+
+    @pytest.mark.parametrize(
+        "field",
+        [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])],
+        ids=repr,
+    )
+    def test_compositional_inverse_of_a_window(self, field):
+        """newton_inverse_1d of an a known only below t^end, where each
+        composition stops at that end."""
+        rng = random.Random(74)
+        t = Series.generator(field, 1, 1)
+        for _ in range(12):
+            a_full = t.scalar_mul(field.from_int(rng.choice([1, 2, 3])))
+            for k in range(2, 7):
+                a_full = a_full + t ** k * Series.constant(field, 1, field.random_element(rng, 3))
+            a_win = truncate_level1(a_full, rng.randint(2, 6))
+            self._compare(newton_inverse_1d(a_win, window=8), newton_inverse_1d(a_full, window=12))
 
     @pytest.mark.parametrize(
         "field", [make_extension(0, [1, 0, 1]), make_extension(5, [-2, 0, 1])],
@@ -680,6 +703,124 @@ class TestPower:
             for n in range(1, 6):
                 acc = acc * inv
                 assert x ** -n == acc, -n
+
+
+# QQ, F_5, Q(i) and F5[x]/(x^2 - 2)
+SUBSTITUTION_FIELDS = KERNEL_FIELDS[:2] + [PACKED_FIELDS[2], PACKED_FIELDS[0]]
+
+
+def _evaluate_everywhere(x, values, target_depth, field, window):
+    """The image of every known term of x, composed in full: the evaluation
+    before the level-1 cut, kept as its reference."""
+    if x.depth == 0:
+        return Series.constant(field, target_depth, x.scalar)
+    acc = Series.zero(field, target_depth)
+    for c in reversed(x.coeffs):
+        acc = acc * values[0] + _evaluate_everywhere(c, values[1:], target_depth, field, window)
+    if x.order:
+        acc = acc * values[0].__pow__(x.order, window)
+    return acc
+
+
+def _substitute_everywhere(x, system, window):
+    """x.substitute(system, window) by the full composition, then the lex cut."""
+    check_uniformizer_valuations(system)
+    if x.is_exact_zero():
+        return Series.zero(x.field, x.depth)
+    result = _evaluate_everywhere(x, system, x.depth, x.field, window)
+    bound = x.smallest_unknown_index()
+    return result if bound is None else truncate_lex(result, bound)
+
+
+@st.composite
+def _uniformizer(draw, field, depth, axis):
+    """A series of valuation e_axis (0-based): c * t_axis plus terms of larger
+    valuation, or the cross-variable unit t_axis * (1 + c * t_1 * t_axis);
+    sometimes cut to a box."""
+    c = draw(_scalar(field).filter(lambda v: not v.is_zero()))
+    t = Series.generator(field, depth, axis + 1)
+    if draw(st.booleans()):
+        a = t * (Series.one(field, depth) + Series.generator(field, depth, 1) * t.scalar_mul(c))
+    else:
+        terms = {tuple(int(i == axis) for i in range(depth)): c}
+        for _ in range(draw(st.integers(0, 3))):
+            # lex above e_axis: first larger at a level j <= axis
+            j = draw(st.integers(0, axis))
+            head = [0] * j + [draw(st.integers(1, 2)) + int(j == axis)]
+            terms[tuple(head + [draw(st.integers(-3, 3)) for _ in range(depth - j - 1)])] = draw(
+                _scalar(field)
+            )
+        a = Series.from_terms(field, depth, terms)
+    if draw(st.booleans()):
+        ends = [a.order + draw(st.integers(1, 5))] + [draw(st.integers(1, 5)) for _ in range(depth - 1)]
+        a = truncate_box(a, ends[:draw(st.integers(1, depth))])
+    return a
+
+
+@st.composite
+def _substitution_case(draw):
+    """An operand at depth 1-3, exact or cut to a box at one or more levels,
+    with negative exponents; a system of uniformizers; a window."""
+    field = draw(st.sampled_from(SUBSTITUTION_FIELDS))
+    depth = draw(st.integers(1, 3))
+    if depth < 3 and draw(st.booleans()):
+        # exact and inexact levels, exact-zero and empty inexact coefficients
+        x = draw(_series(field, depth, _scalar(field), st.integers(-3, 3)))
+    else:
+        exponents = st.tuples(*[st.integers(-3, 3)] * depth)
+        x = Series.from_terms(
+            field, depth, draw(st.dictionaries(exponents, _scalar(field), min_size=1, max_size=8))
+        )
+    if draw(st.booleans()) and not x.is_exact_zero():
+        ends = [x.order + draw(st.integers(1, 6))] + [draw(st.integers(-2, 5)) for _ in range(depth - 1)]
+        x = truncate_box(x, ends[:draw(st.integers(1, depth))])
+    system = [draw(_uniformizer(field, depth, axis)) for axis in range(depth)]
+    return x, system, draw(st.sampled_from([None, 3, 6, 9]))
+
+
+def _outcome(compute):
+    try:
+        return compute(), None
+    except Exception as exc:  # the refusal is part of the result
+        return None, (type(exc), str(exc))
+
+
+class TestSubstituteCut:
+    """substitute evaluates only below the level-1 end b_1 + 1 of its lex bound
+    (b_1, b_2, ...), and gives the full composition cut to that bound."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(_substitution_case())
+    def test_equals_full_composition(self, case):
+        x, system, window = case
+        evaluate, calls = series_module._evaluate, []
+
+        def spy(y, values, target_depth, field, w, end=None):
+            image = evaluate(y, values, target_depth, field, w, end)
+            if y.depth and end is not None:  # a scalar's image is its constant
+                calls.append((y.depth < target_depth, end, image))
+            return image
+
+        series_module._evaluate = spy
+        try:
+            got, refused = _outcome(lambda: x.substitute(system, window))
+        finally:
+            series_module._evaluate = evaluate
+        want, reference_refused = _outcome(lambda: _substitute_everywhere(x, system, window))
+        assert refused == reference_refused
+        if want is not None:
+            _assert_same_series(got, want)
+        for inner, end, image in calls:
+            # no coefficient is evaluated that the cut drops entirely, and the
+            # image of x and of every series coefficient stops at its end
+            assert end >= 1 or not inner
+            assert image.is_exact_zero() or image.end is not None and image.end <= end
+        if x.depth == 1 and want is not None:
+            w = window or 8
+            full = _evaluate_everywhere(x, system, 1, x.field, w)
+            _assert_same_series(
+                _compose_1d(x, system[0], w), full if x.exact else truncate_level1(full, x.end)
+            )
 
 
 class TestCompositionalInverse:
