@@ -17,10 +17,15 @@ Membership in the ring of local operators and its per-level ideals is
 *certified*, never decided: every certificate carries band bounds and witness
 data that imply the quantified lattice conditions for this structured class,
 and can be replayed against a probe set.  Level >= 2 targets are certified
-recursively through induced quotient maps on a canonical refinement ladder.
+recursively through the induced quotient map on one rung [lo, hi) that the
+operator's nodes determine: outside the rung, every column of the operator's
+matrix over the basis a^q repeats a column inside it up to nonzero scalars,
+so the entries on the rung are all the entries any lattice quotient shows.
 """
 
 import json
+import math
+from collections import namedtuple
 
 from .errors import (
     CharacteristicObstruction,
@@ -32,6 +37,36 @@ from .errors import (
 from .scalars import ext_trace
 from .series import Series, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
+
+
+Window1 = namedtuple("Window1", "span breaks image degree")
+Window1.__doc__ = """How a node's matrix M(q_out, q_in) over the basis {a^q} varies.
+
+span    -- half-open range of q_out - q_in over the entries of paths through
+           no finite-rank node; None when every path passes one
+breaks  -- (x, y): every column q_in < x repeats column x - 1 and every column
+           q_in >= y repeats column y, shifted along the diagonal and up to
+           nonzero scalars polynomial in q_in; None when all columns repeat
+image   -- half-open range of the rows that paths through a finite-rank node
+           reach; None when no path passes one
+degree  -- bound on the degree of those scalars in q_in
+"""
+
+
+def _hull(x, y):
+    """Smallest interval holding x and y; None is empty."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return (min(x[0], y[0]), max(x[1], y[1]))
+
+
+def _shift(x, span):
+    """The interval x moved by every shift in the half-open span."""
+    if x is None or span is None:
+        return None
+    return (x[0] + span[0], x[1] + span[1] - 1)
 
 
 class OperatorExpr:
@@ -56,8 +91,8 @@ class OperatorExpr:
         """d with v_1(phi x) >= v_1(x) - d."""
         raise self._outside()
 
-    def shift_interval(self):
-        """(lo, hi): t_1-exponent shifts the operator can apply; None for an absolute range."""
+    def window1(self):
+        """The Window1 of the node's quotient pushdown; shift-free nodes have span (0, 1)."""
         raise self._outside()
 
     def image_lb(self, in_lb):
@@ -80,7 +115,8 @@ class OperatorExpr:
 
     def pushdown(self, lo, hi):
         """Matrix of the induced map on the basis {a^q : lo <= q < hi} of
-        a^lo O_1 / a^hi O_1, entries as depth-(n-1) OperatorExprs.
+        a^lo O_1 / a^hi O_1, entries as depth-(n-1) OperatorExprs: the
+        block [lo, hi) x [lo, hi) of the node's matrix over the basis {a^q}.
 
         Sound for standard level-1 liftings; twisted level-1 liftings are
         refused (certification under them is out of the structured class).
@@ -151,16 +187,19 @@ class MulBy(OperatorExpr):
 
         return -level1_valuation(self.f)
 
-    def shift_interval(self):
-        if self.f.is_exact_zero():
-            return (0, 0)
-        lo = self.f.order
-        hi = self.f.end if self.f.end is not None else self.f.order + len(self.f.coeffs)
-        return (lo, hi)
+    def window1(self):
+        f = self.f
+        if not f.exact:
+            raise NotCertifiable(
+                f"{self!r} is known only below t_1^{f.end}, so not all its quotient"
+                " entries are known"
+            )
+        span = (0, 1) if f.is_exact_zero() else (f.order, f.order + len(f.coeffs))
+        return Window1(span, None, None, 0)
 
     def image_lb(self, in_lb):
         if self.f.is_exact_zero():
-            return 10 ** 9
+            return math.inf
         from .lattices import level1_valuation
 
         v = level1_valuation(self.f)
@@ -239,23 +278,28 @@ class DiffOp(OperatorExpr):
             worst = max(worst, I[0] - level1_valuation(c))
         return worst
 
-    def shift_interval(self):
-        lo, hi = None, None
+    def window1(self):
+        span, order = None, 0
         for c, I in self.terms:
             if c.is_exact_zero():
                 continue
-            clo = c.order - I[0]
-            chi = (c.end if c.end is not None else c.order + len(c.coeffs)) - I[0]
-            lo = clo if lo is None else min(lo, clo)
-            hi = chi if hi is None else max(hi, chi)
-        return (lo or 0, hi if hi is not None else 0)
+            if not c.exact:
+                raise NotCertifiable(
+                    f"{self!r} has a coefficient known only below t_1^{c.end}, so not"
+                    " all its quotient entries are known"
+                )
+            span = _hull(span, (c.order - I[0], c.order + len(c.coeffs) - I[0]))
+            order = max(order, I[0])
+        # d_1^i a^q = (q)_i a^(q - i): the falling factorial vanishes for q in [0, i)
+        return Window1(span or (0, 1), (0, order) if order else None, None, order)
 
     def image_lb(self, in_lb):
         b = self.band1()
         return None if in_lb is None else in_lb - b
 
     def kill_shift(self, s, out):
-        return s + self.shift_interval()[0]
+        shifts = [c.order - I[0] for c, I in self.terms if not c.is_exact_zero()]
+        return s + min(shifts, default=0)
 
     def chains(self, m):
         return [(self,)]
@@ -360,8 +404,10 @@ class LevelProjection(OperatorExpr):
     def band1(self):
         return 0
 
-    def shift_interval(self):
-        return (0, 0)
+    def window1(self):
+        # level 1 keeps the columns on one side of the cutoff
+        cut = (self.cutoff, self.cutoff) if self.level == 1 else None
+        return Window1((0, 1), cut, None, 0)
 
     def image_lb(self, in_lb):
         if self.level == 1 and self.cmp == ">=":
@@ -379,12 +425,12 @@ class LevelProjection(OperatorExpr):
         return [(self,)]
 
     def pushdown(self, lo, hi):
+        if not self.sigma.sigma1.is_standard():
+            raise NotCertifiable("pushdown under a twisted level-1 lifting")
         sub_desc = self.descriptor.residue_descriptor()
         if self.level == 1:
             one = MulBy(sub_desc, sub_desc.one())
             return {(q, q): one for q in range(lo, hi) if self._keep(q)}
-        if not self.sigma.sigma1.is_standard():
-            raise NotCertifiable("pushdown under a twisted level-1 lifting")
         inner = LevelProjection(
             sub_desc, self.level - 1, self.cmp, self.cutoff, self.sigma.d1()
         )
@@ -423,8 +469,8 @@ class CoeffLift(OperatorExpr):
         self.inner.band1()  # refuses an inner tree outside the closed class
         return 0
 
-    def shift_interval(self):
-        return (0, 0)
+    def window1(self):
+        return Window1((0, 1), None, None, 0)
 
     def image_lb(self, in_lb):
         return in_lb
@@ -480,8 +526,10 @@ class FiniteRank(OperatorExpr):
             return 0
         return max(0, max(i[0] - o[0] for (o, i) in self.matrix))
 
-    def shift_interval(self):
-        return None  # absolute output range
+    def window1(self):
+        if not self.matrix:
+            return Window1(None, None, None, 0)
+        return Window1(None, self.in_range1(), self.out_range1(), 0)
 
     def out_range1(self):
         if not self.matrix:
@@ -497,7 +545,7 @@ class FiniteRank(OperatorExpr):
 
     def image_lb(self, in_lb):
         if not self.matrix:
-            return 10 ** 9
+            return math.inf
         return self.out_range1()[0]
 
     def kill_shift(self, s, out):
@@ -511,13 +559,8 @@ class FiniteRank(OperatorExpr):
         sub_desc = self.descriptor.residue_descriptor()
         out = {}
         for (o, i), v in self.matrix.items():
-            if not (lo <= o[0] < hi and lo <= i[0] < hi):
-                if lo <= i[0] < hi and o[0] >= hi:
-                    continue  # lands in the killed part of the quotient
-                if lo <= i[0] < hi and o[0] < lo:
-                    raise NotCertifiable("finite-rank image escapes the quotient window")
-                continue
-            _add_entry(out, (o[0], i[0]), FiniteRank(sub_desc, {(o[1:], i[1:]): v}))
+            if lo <= o[0] < hi and lo <= i[0] < hi:
+                _add_entry(out, (o[0], i[0]), FiniteRank(sub_desc, {(o[1:], i[1:]): v}))
         return out
 
     def to_json(self):
@@ -556,15 +599,27 @@ class Compose(OperatorExpr):
     def band1(self):
         return sum(p.band1() for p in self.parts)
 
-    def shift_interval(self):
-        cur = (0, 1)
+    def _stages(self):
+        """Per part, innermost first: its window, and the shifts (span) and the
+        finite-rank rows (image) of the paths that reach it; then the span and
+        image of the paths that leave the last part."""
+        stages = []
+        span, image = (0, 1), None
         for p in reversed(self.parts):
-            s = p.shift_interval()
-            if s is None:
-                cur = p.out_range1()
-            else:
-                cur = (cur[0] + s[0], cur[1] + s[1] - 1)
-        return cur
+            w = p.window1()
+            stages.append((w, span, image))
+            image = _hull(_shift(image, w.span), w.image if span or image else None)
+            span = _shift(span, w.span)
+        return stages, span, image
+
+    def window1(self):
+        stages, span, image = self._stages()
+        breaks = None
+        for w, s, _ in stages:
+            if w.breaks and s:
+                # column q_in reaches the part at q_in + s for every shift s in the span
+                breaks = _hull(breaks, (w.breaks[0] - s[1] + 1, w.breaks[1] - s[0]))
+        return Window1(span, breaks, image, sum(w.degree for w, _, _ in stages))
 
     def image_lb(self, in_lb):
         for p in reversed(self.parts):
@@ -588,20 +643,13 @@ class Compose(OperatorExpr):
         return chains
 
     def pushdown(self, lo, hi):
-        # extend the working range so intermediate images are not clipped;
-        # finite-rank parts contribute their absolute index ranges
-        margin = 0
-        for p in self.parts:
-            si = p.shift_interval()
-            if si is None:
-                orr, irr = p.out_range1(), p.in_range1()
-                up = max(abs(orr[0]), abs(orr[1]), abs(irr[0]), abs(irr[1]))
-            else:
-                up = max(abs(si[0]), abs(si[1]))
-            margin += max(p.band1(), up) + 1
-        wide_lo, wide_hi = lo - margin, hi + margin
+        # one working range holds every exponent a path between columns and
+        # rows in [lo, hi) passes, so no path is clipped
+        wide = (lo, hi)
+        for _, span, image in self._stages()[0]:
+            wide = _hull(wide, _hull(_shift((lo, hi), span), image))
         acc = None
-        for mat in reversed([p.pushdown(wide_lo, wide_hi) for p in self.parts]):
+        for mat in reversed([p.pushdown(*wide) for p in self.parts]):
             if acc is None:
                 acc = mat
                 continue
@@ -651,15 +699,14 @@ class AddOp(OperatorExpr):
     def band1(self):
         return max(0, *(p.band1() for p in self.parts))
 
-    def shift_interval(self):
-        lo, hi = None, None
-        for p in self.parts:
-            s = p.shift_interval()
-            if s is None:
-                s = p.out_range1()  # treated as absolute below; conservative
-            lo = s[0] if lo is None else min(lo, s[0])
-            hi = s[1] if hi is None else max(hi, s[1])
-        return (lo, hi)
+    def window1(self):
+        span = breaks = image = None
+        degree = 0
+        for w in (p.window1() for p in self.parts):
+            span, image = _hull(span, w.span), _hull(image, w.image)
+            breaks = _hull(breaks, w.breaks)
+            degree = max(degree, w.degree)
+        return Window1(span, breaks, image, degree)
 
     def image_lb(self, in_lb):
         lows = [p.image_lb(in_lb) for p in self.parts]
@@ -708,12 +755,12 @@ class ScalarMul(OperatorExpr):
         band = self.part.band1()  # computed even for 0, to refuse a part outside the class
         return 0 if self.scalar.is_zero() else band
 
-    def shift_interval(self):
-        return self.part.shift_interval()
+    def window1(self):
+        return self.part.window1()
 
     def image_lb(self, in_lb):
         if self.scalar.is_zero():
-            return 10 ** 9
+            return math.inf
         return self.part.image_lb(in_lb)
 
     def kill_shift(self, s, out):
@@ -749,19 +796,21 @@ class Certificate:
     """Machine-checkable evidence for membership of an operator.
 
     For the ring: the per-node band bounds.  For the first-level ideals: the
-    witness lattice shift (bounded image) or the killed lattice shift.  For
-    deeper levels: the induced quotient matrix on the canonical ladder rung
-    together with recursive certificates for every entry.
+    witness lattice shift (bounded image; math.inf when the image is zero) or
+    the killed lattice shift.  For deeper levels: the rung (lo, hi) of
+    pushdown_rung and a recursive certificate for every entry of the induced
+    quotient matrix on it, keyed by (q_out, q_in).
     """
 
     def __init__(self, phi, target, band=None, witness_shift=None, killed_shift=None,
-                 entry_data=None):
+                 rung=None, entries=None):
         self.phi = phi
         self.target = target
         self.band = band
         self.witness_shift = witness_shift
         self.killed_shift = killed_shift
-        self.entry_data = entry_data or []
+        self.rung = rung
+        self.entries = entries or {}
 
     def level_bounds(self):
         """Per-level (image shift, killed shift) pairs harvested recursively."""
@@ -771,19 +820,18 @@ class Certificate:
         if i == 1:
             return [(self.witness_shift, self.killed_shift)]
         inner = None
-        for rung in self.entry_data:
-            for cert in rung["entries"].values():
-                b = cert.level_bounds()[-1]
-                if inner is None:
-                    inner = b
-                else:
-                    lo = None
-                    if b[0] is not None and inner[0] is not None:
-                        lo = min(inner[0], b[0])
-                    hi = None
-                    if b[1] is not None and inner[1] is not None:
-                        hi = max(inner[1], b[1])
-                    inner = (lo, hi)
+        for cert in self.entries.values():
+            b = cert.level_bounds()[-1]
+            if inner is None:
+                inner = b
+            else:
+                lo = None
+                if b[0] is not None and inner[0] is not None:
+                    lo = min(inner[0], b[0])
+                hi = None
+                if b[1] is not None and inner[1] is not None:
+                    hi = max(inner[1], b[1])
+                inner = (lo, hi)
         return [(None, None)] * (i - 1) + [inner or (None, None)]
 
     def replay(self, probes, window=None):
@@ -791,6 +839,8 @@ class Certificate:
         phi = self.phi
         w = phi.descriptor.window if window is None else window
         if self.target == "E":
+            if phi.descriptor.n == 0:
+                return True  # E(K) is all of End_k(K): there is no band to check
             for p in probes:
                 img = phi.apply(p, w)
                 try:
@@ -825,13 +875,25 @@ class Certificate:
                 if not (img.is_exact_zero() or img.is_zero_within_window()):
                     return False
             return True
-        # deeper targets: replay every entry certificate one level down
+        # deeper targets: replay every entry certificate one level down, and
+        # check that a wider rung shows no entry the rung lacks
+        certs = {id(c): c for c in self.entries.values()}.values()
         sub_probes = _default_probes(phi.descriptor.residue_descriptor(), count=4)
-        for rung in self.entry_data:
-            for cert in rung["entries"].values():
-                if not cert.replay(sub_probes, window):
-                    return False
-        return True
+        if not all(c.replay(sub_probes, window) for c in certs):
+            return False
+        lo, hi = self.rung
+        shapes = {_shape(c.phi) for c in certs}
+        return all(_shape(op) in shapes for op in phi.pushdown(lo - 1, hi + 1).values())
+
+
+def _shape(op):
+    """op without its nonzero scalar factors: DiffOp entries repeat along the
+    diagonal up to the falling factorial in q."""
+    if isinstance(op, ScalarMul) and not op.scalar.is_zero():
+        return _shape(op.part)
+    if isinstance(op, (Compose, AddOp)):
+        return type(op)([_shape(p) for p in op.parts])
+    return op
 
 
 def _default_probes(descriptor, count=6, seed=7):
@@ -852,34 +914,60 @@ def _default_probes(descriptor, count=6, seed=7):
     return [p for p in probes if not p.is_exact_zero()]
 
 
-def certify_membership(phi, target, ladder_depth=3):
+def pushdown_rung(phi):
+    """The rung [lo, hi) on which phi's pushdown shows every entry, up to
+    nonzero scalars, that its pushdown shows on any rung.
+
+    From phi.window1(): all columns between the breaks; on each side of them
+    degree + 1 columns, since the scalars of a repeated column are polynomials
+    in q_in of that degree, which as many values fix; and every row those
+    columns reach.  Raises NotCertifiable, naming the node, where a node's
+    entries are not all known.
+    """
+    w = phi.window1()
+    a, b = w.span or (0, 1)
+    reps = w.degree + 1 if w.span else 0
+    x, y = w.breaks or (0, 0)
+    lo = x - (reps if w.breaks else 0) + min(a, 0)
+    hi = y + reps + max(b, 1) - 1
+    return _hull((lo, hi), w.image)
+
+
+def certify_membership(phi, target):
     """Certify membership structurally; NotCertifiable is not a disproof."""
-    if not isinstance(ladder_depth, int) or ladder_depth < 1:
-        raise LocalFieldError(f"ladder depth must be an integer >= 1, got {ladder_depth!r}")
     if target == "E":
-        return Certificate(phi, "E", band=phi.band1())
+        # at n = 0 the ring is all of End_k(K), as the paper's recursion starts
+        return Certificate(phi, "E", band=phi.band1() if phi.descriptor.n else 0)
     i, j = target
     n = phi.descriptor.n
     if not (1 <= i <= n) or j not in (1, 2):
         raise NotCertifiable(f"target {target} out of range for dimension {n}")
-    base = certify_membership(phi, "E", ladder_depth)
+    band = phi.band1()
     if i == 1:
         if j == 1:
             lb = phi.image_lb(None)
             if lb is None:
                 raise NotCertifiable("image admits no level-1 lattice bound")
-            return Certificate(phi, (1, 1), band=base.band, witness_shift=lb)
-        shift = _killed_shift(phi)
-        return Certificate(phi, (1, 2), band=base.band, killed_shift=shift)
-    # i >= 2: induce on the canonical ladder and certify entries recursively
-    entry_data = []
-    for rung in range(ladder_depth):
-        gap = rung + 1
-        entries = {}
-        for key, op in phi.pushdown(0, gap).items():
-            entries[key] = certify_membership(op, (i - 1, j), ladder_depth)
-        entry_data.append({"gap": gap, "entries": entries})
-    return Certificate(phi, (i, j), band=base.band, entry_data=entry_data)
+            return Certificate(phi, (1, 1), band=band, witness_shift=lb)
+        return Certificate(phi, (1, 2), band=band, killed_shift=_killed_shift(phi))
+    return _certify_rung(phi, (i, j), band, pushdown_rung(phi))
+
+
+def _certify_rung(phi, target, band, rung):
+    """Certify every entry of phi's pushdown on the rung one level down; equal
+    entries share one certificate."""
+    i, j = target
+    certs, entries = {}, {}
+    for key, op in phi.pushdown(*rung).items():
+        if op not in certs:
+            try:
+                certs[op] = certify_membership(op, (i - 1, j))
+            except NotCertifiable as exc:
+                raise NotCertifiable(
+                    f"pushdown entry {key} on the rung {rung}, {op!r} on K_1: {exc.reason}"
+                ) from None
+        entries[key] = certs[op]
+    return Certificate(phi, target, band=band, rung=rung, entries=entries)
 
 
 # -- killed-lattice analysis (restrict to a^m O_1 and simplify) --------------
@@ -931,14 +1019,14 @@ def _normalize_chain(chain):
 # ---------------------------------------------------------------------------
 
 
-def decompose_identity(descriptor, level, sigma, certify=True, ladder_depth=3):
+def decompose_identity(descriptor, level, sigma):
     """The two level projections with phi_1 + phi_2 = 1 and their certificates."""
     phi1 = LevelProjection(descriptor, level, ">=", 0, sigma)
     phi2 = LevelProjection(descriptor, level, "<", 0, sigma)
-    certs = {}
-    if certify:
-        certs[(level, 1)] = certify_membership(phi1, (level, 1), ladder_depth)
-        certs[(level, 2)] = certify_membership(phi2, (level, 2), ladder_depth)
+    certs = {
+        (level, 1): certify_membership(phi1, (level, 1)),
+        (level, 2): certify_membership(phi2, (level, 2)),
+    }
     return phi1, phi2, certs
 
 
@@ -1022,6 +1110,8 @@ def finite_potent_trace(phi, certificates=None, max_power=None, window=None):
             raise NotReduced(f"no finite box at level {i}")
         bounds.append((lo, max(hi, lo)))
     field = desc.field
+    if any(lo == math.inf for lo, _ in bounds):  # the image is zero
+        return field.base.zero
     # every primitive in the class is k'-linear, so the matrix lives over k'
     box = [()]
     for (lo, hi) in bounds:
@@ -1083,8 +1173,7 @@ def _trace_on_invariant_subspace(field, matrix, stable_power, dim):
 # ---------------------------------------------------------------------------
 
 
-def verify_lifting_independence(phi, sigma, sigma_prime, targets, ladder_depth=2,
-                                probe_count=6):
+def verify_lifting_independence(phi, sigma, sigma_prime, targets, probe_count=6):
     """Re-run certification under a second lifting system and compare.
 
     Disagreement is reported, not raised: it would falsify the implementation
@@ -1097,7 +1186,7 @@ def verify_lifting_independence(phi, sigma, sigma_prime, targets, ladder_depth=2
         res = {}
         for name, system in (("sigma", sigma), ("sigma_prime", sigma_prime)):
             try:
-                cert = certify_membership(phi.rebind(system), target, ladder_depth)
+                cert = certify_membership(phi.rebind(system), target)
                 res[name] = cert.replay(probes)
             except NotCertifiable as exc:
                 res[name] = f"not-certifiable: {exc.reason}"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse error, 3 precision error, 4 domain error.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -574,7 +575,7 @@ def cmd_certify(args):
         i, j = args.target.split(",")
         target = (int(i), int(j))
     try:
-        cert = certify_membership(phi, target, ladder_depth=args.ladder_depth)
+        cert = certify_membership(phi, target)
     except NotCertifiable as exc:
         _emit(args, {"certified": False, "reason": str(exc)})
         return 4
@@ -587,7 +588,8 @@ def cmd_certify(args):
         "replayed": cert.replay(_default_probes(desc)),
     }
     if cert.witness_shift is not None:
-        payload["witness_shift"] = cert.witness_shift
+        # a zero image lies in every lattice
+        payload["witness_shift"] = "inf" if cert.witness_shift == math.inf else cert.witness_shift
     if cert.killed_shift is not None:
         payload["killed_shift"] = cert.killed_shift
     _emit(args, payload)
@@ -697,6 +699,7 @@ def build_parser():
         description="Exact residues and operator certificates on iterated Laurent series fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, n_default=None):
         p.add_argument("--char", type=int, default=0, help="characteristic (0 or a prime)")
@@ -738,8 +741,6 @@ def build_parser():
     common(p)
     p.add_argument("operator")
     p.add_argument("--target", default="E", help="'E' or 'i,j'")
-    p.add_argument("--ladder-depth", type=_int_at_least(1), default=3,
-                   help="rungs of the refinement ladder per level (an integer >= 1)")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("decompose", help="identity decomposition at a level")
@@ -772,14 +773,21 @@ def build_parser():
     return parser
 
 
-def _join_negative_polys(argv):
+def _join_negative_polys(parser, argv):
     """Join a polynomial flag to a following value that starts with '-' and a
     digit, which argparse would read as an option: `--ext-poly -2,0,1` parses
-    as `--ext-poly=-2,0,1`."""
+    as `--ext-poly=-2,0,1`.  A flag is any prefix argparse accepts for
+    --ext-poly or --upstairs-poly: one that no other option of the command
+    starts with."""
+    command = parser.commands.get(next((a for a in argv if not a.startswith("-")), None))
+    # argparse's own table of the command's option strings, whose prefixes it accepts
+    options = command._option_string_actions if command else {}
     out = []
     for arg in argv:
         negative = arg[:1] == "-" and arg[1:2].isdigit()
-        if negative and out and out[-1] in ("--ext-poly", "--upstairs-poly"):
+        flag = out[-1] if out else ""
+        matches = [o for o in options if o.startswith(flag)] if flag.startswith("--") else []
+        if negative and len(matches) == 1 and matches[0] in ("--ext-poly", "--upstairs-poly"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -788,7 +796,7 @@ def _join_negative_polys(argv):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(_join_negative_polys(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_negative_polys(parser, sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -1,14 +1,17 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tlfields.errors import LocalFieldError, NotCertifiable
+from tlfields.errors import NotCertifiable
 from tlfields.scalars import make_extension
 from tlfields.series import Series, agree_within_window, random_series
 from tlfields.bt_ops import (
     AddOp,
+    Certificate,
     CoeffLift,
     Compose,
     DiffOp,
@@ -17,11 +20,14 @@ from tlfields.bt_ops import (
     MulBy,
     OperatorExpr,
     ScalarMul,
+    _certify_rung,
+    _default_probes,
     certify_membership,
     cubical_projectors,
     decompose_identity,
     finite_potent_trace,
     operator_from_json,
+    pushdown_rung,
     verify_lifting_independence,
 )
 from tlfields.residue import tate_residue_dim1
@@ -130,16 +136,22 @@ class TestCertify:
         with pytest.raises(NotCertifiable):
             certify_membership(op, (1, 2))
 
-    @pytest.mark.parametrize("depth", [0, -1, 1.5])
-    def test_ladder_depth_below_one_rejected(self, K2, depth):
-        # with no rungs a target (i, j), i >= 2, used to certify vacuously
-        op = MulBy(K2, K2.gen(2))
-        with pytest.raises(LocalFieldError) as ei:
-            certify_membership(op, (2, 2), ladder_depth=depth)
-        assert not isinstance(ei.value, NotCertifiable)
-        assert "ladder depth" in str(ei.value)
-        with pytest.raises(NotCertifiable):
-            certify_membership(op, (2, 2))
+    def test_zero_image_bound_is_infinite(self, K1):
+        zero = MulBy(K1, K1.zero())
+        for op in [zero, FiniteRank(K1, {}), ScalarMul(0, MulBy(K1, K1.gen(1)))]:
+            cert = certify_membership(op, (1, 1))
+            assert cert.witness_shift == math.inf
+            assert cert.replay(probes(K1, random.Random(9)))
+        assert finite_potent_trace(zero) == 0
+
+    def test_dimension_zero_is_the_whole_ring(self, Q):
+        # E(K) = End_k(K) at n = 0: band 0, and a replay with nothing to compare
+        K0 = TlfDescriptor(0, Q)
+        op = MulBy(K0, K0.one())
+        assert certify_membership(op, "E").band == 0
+        assert Certificate(op, "E", band=0).replay(_default_probes(K0))
+        with pytest.raises(NotCertifiable, match="out of range"):
+            certify_membership(op, (1, 1))
 
     def test_commutator_certifies_both(self, K1):
         # [pi f, g] = pi f g - g pi f is bounded and kills a lattice
@@ -298,7 +310,7 @@ class TestDecomposeIdentity:
 
     def test_level2_split_example(self, K2):
         sigma = LiftingSystem.standard(K2)
-        phi1, phi2, _ = decompose_identity(K2, 2, sigma, certify=False)
+        phi1, phi2, _ = decompose_identity(K2, 2, sigma)
         x = K2.from_terms({(-1, -1): K2.field.one, (1, 1): K2.field.one})
         assert phi1.apply(x) == K2.from_terms({(1, 1): K2.field.one})
         assert phi2.apply(x) == K2.from_terms({(-1, -1): K2.field.one})
@@ -360,10 +372,9 @@ class TestFinitePotentTrace:
         cert = certify_membership(comp, (2, 1))
         one = Series.one(field, 1)
         # the composite maps t^0 |-> t^0; entry ((0,*),(0,*)) must survive
-        rung = cert.entry_data[0]["entries"]
         assert any(
             not c.phi.apply(one).is_exact_zero() if hasattr(c.phi, "apply") else False
-            for c in rung.values()
+            for c in cert.entries.values()
         )
 
     def test_finite_potency_n2(self, K2):
@@ -414,7 +425,7 @@ class TestLiftingIndependence:
         # ambient system twists level 2 by the remaining derivation
         sigma = LiftingSystem.standard(K2)
         sigma2 = LiftingSystem.standard(K2)  # K2 has n=2: level-2 twist axis must be > 2
-        phi1, _, _ = decompose_identity(K2, 2, sigma, certify=False)
+        phi1, _, _ = decompose_identity(K2, 2, sigma)
         report = verify_lifting_independence(phi1, sigma, sigma2, [(2, 1)])
         assert report["agreements"][(2, 1)]
         assert report["induced_maps_agree"] is True
@@ -433,7 +444,7 @@ class TestLiftingIndependence:
         sigma = LiftingSystem.standard(K3)
         twisted = LiftingSystem.twisted_at(K3, 2, 3, depth=1)
         phi1 = LevelProjection(K3, 2, ">=", 0, sigma)
-        report = verify_lifting_independence(phi1, sigma, twisted, [(2, 1)], ladder_depth=1)
+        report = verify_lifting_independence(phi1, sigma, twisted, [(2, 1)])
         assert report["agreements"][(2, 1)]
 
     def test_induced_maps_conjugate_under_level1_twist(self, K2):
@@ -453,7 +464,7 @@ class TestLemma65Split:
     def test_ring_splits_into_ideals(self, K2):
         # phi = phi phi_1 + phi phi_2 with the summands certified
         sigma = LiftingSystem.standard(K2)
-        phi1, phi2, _ = decompose_identity(K2, 1, sigma, certify=False)
+        phi1, phi2, _ = decompose_identity(K2, 1, sigma)
         rng = random.Random(15)
         for _ in range(20):
             f = random_series(K2.field, 2, rng, max_terms=2, exp_span=2)
@@ -468,3 +479,115 @@ class TestLemma65Split:
                 x = K2.random_element(rng, max_terms=2, exp_span=2)
                 total = s1.apply(x) + s2.apply(x)
                 assert agree_within_window(total - phi.apply(x), K2.zero())
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _operator(draw, K, size):
+    """A random tree over K of all eight node types; DiffOp of order > 0 only
+    in characteristic 0."""
+    field, sigma = K.field, LiftingSystem.standard(K)
+    scalar = st.sampled_from([-2, -1, 1, 2]).map(field.from_int)
+
+    def element():
+        exps = st.tuples(st.integers(-2, 2), *[st.integers(-1, 1)] * (K.n - 1))
+        return K.from_terms(draw(st.dictionaries(exps, scalar, min_size=1, max_size=2)))
+
+    kinds = ["mul", "diff", "proj", "finrank"] + (["lift"] if K.n > 1 else [])
+    kinds += ["compose", "add", "scale"] if size else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "mul":
+        return MulBy(K, element())
+    if kind == "diff":
+        order = st.integers(0, 2 if field.char == 0 else 0)
+        terms = draw(st.lists(st.tuples(order, order), min_size=1, max_size=2))
+        return DiffOp(K, [(element(), I[:K.n] + (0,) * (K.n - 2)) for I in terms])
+    if kind == "proj":
+        level = draw(st.integers(1, K.n))
+        return LevelProjection(K, level, draw(st.sampled_from([">=", "<"])),
+                               draw(st.integers(-2, 2)), sigma)
+    if kind == "finrank":
+        index = st.tuples(*[st.integers(-2, 2)] * K.n)
+        entries = draw(st.dictionaries(st.tuples(index, index), scalar, min_size=1, max_size=2))
+        return FiniteRank(K, entries)
+    if kind == "lift":
+        return CoeffLift(K, draw(_operator(K.residue_descriptor(), 0)), sigma)
+    if kind == "scale":
+        return ScalarMul(draw(st.integers(-2, 2)), draw(_operator(K, size - 1)))
+    parts = draw(st.lists(_operator(K, size - 1), min_size=2, max_size=3))
+    return Compose(parts) if kind == "compose" else AddOp(parts)
+
+
+@st.composite
+def _rung_case(draw):
+    field = make_extension(draw(st.sampled_from([0, 5])), [0, 1])
+    K = TlfDescriptor(draw(st.sampled_from([2, 3])), field)
+    phi = draw(_operator(K, 2))
+    target = (draw(st.integers(2, K.n)), draw(st.sampled_from([1, 2])))
+    widen = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return phi, target, widen
+
+
+class TestPushdownRung:
+    @PROPERTY
+    @given(_rung_case())
+    def test_wider_rungs_change_nothing(self, case):
+        # the derived rung holds every entry a wider one shows, up to nonzero
+        # scalars, so the verdict and the level bounds agree
+        phi, target, (left, right) = case
+        lo, hi = pushdown_rung(phi)
+
+        def verdict(rung):
+            try:
+                return _certify_rung(phi, target, 0, rung).level_bounds()
+            except NotCertifiable:
+                return None
+
+        derived = verdict((lo, hi))
+        assert verdict((lo - left, hi + right)) == derived
+        if derived is not None:
+            assert certify_membership(phi, target).replay(_default_probes(phi.descriptor, 2))
+
+    def test_shift_free_parts_keep_the_span(self, K2):
+        sigma = LiftingSystem.standard(K2)
+        mul = MulBy(K2, K2.gen(1))
+        proj = LevelProjection(K2, 1, ">=", 0, sigma)
+        lift = CoeffLift(K2, MulBy(K2.residue_descriptor(), Series.generator(K2.field, 1, 1)), sigma)
+        assert mul.window1().span == (1, 2)
+        for parts in [[proj, mul], [proj, proj, mul], [mul, proj], [lift, mul], [lift, proj, mul]]:
+            assert Compose(parts).window1().span == (1, 2)
+        for op in [proj, lift, LevelProjection(K2, 2, "<", 3, sigma)]:
+            assert op.window1().span == (0, 1)
+
+    def test_rung_follows_the_cutoff(self, K2):
+        sigma = LiftingSystem.standard(K2)
+        t1, t2 = K2.gens()
+        assert pushdown_rung(LevelProjection(K2, 1, ">=", 5, sigma)) == (4, 6)
+        assert pushdown_rung(LevelProjection(K2, 2, ">=", 5, sigma)) == (0, 1)
+        assert pushdown_rung(MulBy(K2, t1)) == (0, 2)
+        assert pushdown_rung(FiniteRank(K2, {((4, 0), (-1, 0)): K2.field.one})) == (-1, 5)
+        # d_1 vanishes on the column q = 0 and scales the others by q
+        assert pushdown_rung(DiffOp.partial(K2, 1)) == (-3, 3)
+        conj = Compose([MulBy(K2, t1 ** -5), LevelProjection(K2, 1, ">=", 5, sigma),
+                        MulBy(K2, t2.inv()), MulBy(K2, t1 ** 5)])
+        assert pushdown_rung(conj) == (-1, 1)
+
+    def test_level2_projection_needs_one_entry(self, K2):
+        _, _, certs = decompose_identity(K2, 2, LiftingSystem.standard(K2))
+        for cert in certs.values():
+            assert len(cert.entries) == 1
+
+    def test_gap_one_certificate_fails_replay(self, K2):
+        # the pushdown of mul(t1) on [0, 1) is empty; a wider rung is not
+        op = MulBy(K2, K2.gen(1))
+        cert = Certificate(op, (2, 1), band=-1, rung=(0, 1), entries={})
+        assert not cert.replay(probes(K2, random.Random(17)))
+
+    def test_unknown_entries_refused_by_name(self, K2):
+        t1 = K2.gen(1)
+        inexact = (K2.one() - t1).inv(4)
+        for op in [MulBy(K2, inexact), DiffOp(K2, [(inexact, (1, 0))])]:
+            with pytest.raises(NotCertifiable, match="known only below t_1\\^4"):
+                certify_membership(op, (2, 1))

@@ -181,15 +181,50 @@ class TestCommands:
         assert captured.out == ""
         assert "--twist-depth" in captured.err
 
-    @pytest.mark.parametrize("depth", ["0", "-1"])
+    @pytest.mark.parametrize("depth", ["0", "-1", "1"])
     def test_ladder_depth_below_one_rejected_at_parsing(self, capsys, depth):
-        # a ladder with no rungs used to certify (i, j) with i >= 2 vacuously
+        # the operator determines the rung, so --ladder-depth is no option at
+        # all: a ladder with no rungs used to certify (i, j) with i >= 2
+        # vacuously, and a one-rung ladder certified mul(t1)
         with pytest.raises(SystemExit) as ei:
-            main(["certify", "--n", "2", "--target", "2,2", "--ladder-depth", depth, "mul(t2)"])
+            main(["certify", "--n", "2", "--target", "2,1", "--ladder-depth", depth, "mul(t1)"])
         assert ei.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--ladder-depth" in captured.err
+        assert "unrecognized arguments: --ladder-depth" in captured.err
+
+    @pytest.mark.parametrize(
+        "target, operator",
+        [
+            ("2,1", "mul(t1)"),
+            ("2,1", "proj1(>=5)*mul(t2^-1)"),
+            ("2,1", "mul(t1^-5)*proj1(>=5)*mul(t2^-1)*mul(t1^5)"),
+            ("2,1", "proj1(>=0)*mul(t2^-1)"),
+            ("2,2", "proj1(<0)*mul(t2^-1)"),
+            ("2,2", "proj1(<5)*mul(t2^-1)"),
+            ("2,2", "mul(t2)"),
+        ],
+    )
+    def test_level2_refusal_names_the_entry(self, capsys, target, operator):
+        # conjugating by the unit t1^5 maps the projected operators onto each
+        # other; where the projection keeps rows the entry multiplies by
+        # t2^-1, whose image in K_1 is unbounded, wherever the cutoff sits
+        code, out = run_cli(capsys, "certify", "--n", "2", "--target", target, operator)
+        assert code == 4
+        assert json.loads(out)["reason"].startswith("pushdown entry (")
+
+    def test_certify_zero_image(self, capsys):
+        code, out = run_cli(capsys, "certify", "--n", "1", "--target", "1,1", "mul(0)")
+        assert code == 0
+        assert out == ('{"band":0,"certified":true,"replayed":true,"target":[1,1],'
+                       '"witness_shift":"inf"}')
+        assert run_cli(capsys, "trace-op", "--n", "1", "mul(0)") == (0, '{"value":"0"}')
+
+    def test_certify_dimension_zero(self, capsys):
+        # E(K) = End_k(K) at n = 0
+        code, out = run_cli(capsys, "certify", "--n", "0", "mul(1)")
+        assert code == 0
+        assert out == '{"band":0,"certified":true,"replayed":true,"target":"E"}'
 
     def test_kummer_zero_reaches_the_index_check(self, capsys):
         code, out = run_cli(capsys, "trace-form", "--n", "1", "--kummer", "0", "t1^-1 * d(t1)")
@@ -238,6 +273,30 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)[key] == value
         assert run_cli(capsys, *joined) == (code, out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residue", "--n", "2", "--ext", "-2,0,0,1", "dlog(t1,t2)"],
+            ["residue", "--n", "2", "--ext-p", "-2,0,0,1", "dlog(t1,t2)"],
+            ["trace-form", "--n", "1", "--upstairs", "-2,0,1", "t1^-1*d(t1)"],
+            ["trace-form", "--n", "1", "--up", "-2,0,1", "t1^-1*d(t1)"],
+        ],
+        ids=["ext", "ext-p", "upstairs", "up"],
+    )
+    def test_negative_polynomial_abbreviated_flag(self, capsys, argv):
+        full = {"--ext": "--ext-poly", "--ext-p": "--ext-poly",
+                "--upstairs": "--upstairs-poly", "--up": "--upstairs-poly"}[argv[3]]
+        expected = run_cli(capsys, *argv[:3], full, *argv[4:])
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv) == expected
+
+    def test_ambiguous_abbreviation_stays_ambiguous(self, capsys):
+        # lift-matrix has --exponent beside --ext-poly
+        with pytest.raises(SystemExit) as ei:
+            main(["lift-matrix", "--n", "2", "--e", "-2,0,1"])
+        assert ei.value.code == 2
+        assert "ambiguous option: --e" in capsys.readouterr().err
 
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)")
