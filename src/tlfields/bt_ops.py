@@ -832,7 +832,9 @@ class Certificate:
                 if b[1] is not None and inner[1] is not None:
                     hi = max(inner[1], b[1])
                 inner = (lo, hi)
-        return [(None, None)] * (i - 1) + [inner or (None, None)]
+        # no entry on the rung means the operator is zero: its bounds are those
+        # of the zero operator at level 1, image bound inf and killed shift 0
+        return [(None, None)] * (i - 1) + [inner or (math.inf, 0)]
 
     def replay(self, probes, window=None):
         """Re-validate the evidence on fresh probe inputs."""

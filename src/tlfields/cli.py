@@ -488,21 +488,24 @@ def _rf_mul(base, a, b):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_str(value):
-    return str(value)
-
-
-def _ext_scalar_str(s):
-    if s.field.degree == 1:
-        return str(s.coeffs[0])
-    return [str(c) for c in s.coeffs]
+def _extension_from_flag(char, text):
+    """The field k[x]/(m(x)) for a flag value "c0,c1,...,1": rational
+    coefficients over QQ, integers over F_p."""
+    poly, at = [], 0
+    for part in text.split(","):
+        try:
+            poly.append(Fraction(part) if char == 0 else int(part))
+        except (ValueError, ZeroDivisionError):
+            expected = "a rational coefficient" if char == 0 else "an integer coefficient"
+            raise ParseError(at, expected, text) from None
+        at += len(part) + 1
+    return make_extension(char, poly)
 
 
 def _descriptor_from_args(args, default_n=1):
     char = args.char
     if args.ext_poly:
-        poly = [Fraction(c) if char == 0 else int(c) for c in args.ext_poly.split(",")]
-        field = make_extension(char, poly)
+        field = _extension_from_flag(char, args.ext_poly)
     else:
         field = make_extension(char, [0, 1])
     n = args.n if args.n is not None else default_n
@@ -522,7 +525,7 @@ def cmd_residue(args):
     form = parse_form(args.expression, desc, args.window)
     sep = form.separate(args.window)
     value = res_tlf(sep)
-    _emit(args, {"value": _scalar_str(value), "window_used": args.window})
+    _emit(args, {"value": str(value), "window_used": args.window})
     return 0
 
 
@@ -533,7 +536,7 @@ def cmd_tate_residue(args):
     f = parse_series(args.f, desc, args.window)
     g = parse_series(args.g, desc, args.window)
     value = tate_residue_dim1(f, g, shift=args.shift)
-    _emit(args, {"value": _scalar_str(value), "window_used": args.window})
+    _emit(args, {"value": str(value), "window_used": args.window})
     return 0
 
 
@@ -545,9 +548,7 @@ def cmd_trace_form(args):
     else:
         if not args.upstairs_poly:
             raise LocalFieldError("give --kummer E or --upstairs-poly coefficients")
-        poly = [Fraction(c) if desc.char == 0 else int(c)
-                for c in args.upstairs_poly.split(",")]
-        ext = make_extension(desc.char, poly)
+        ext = _extension_from_flag(desc.char, args.upstairs_poly)
         spec = ExtensionSpec.unramified(desc, ext)
         upstairs = spec.upstairs_descriptor()
     form = parse_form(args.expression, upstairs, args.window)
@@ -555,14 +556,14 @@ def cmd_trace_form(args):
     traced = trace_forms(sep, spec)
     payload = {"form": traced.to_json()}
     if traced.degree == desc.n:
-        payload["residue"] = _scalar_str(res_tlf(traced))
+        payload["residue"] = str(res_tlf(traced))
     _emit(args, payload)
     return 0
 
 
 def cmd_counterexample(args):
     res_st, res_nt = counterexample_char0(window=args.window)
-    _emit(args, {"res_st": _scalar_str(res_st), "res_nt": _scalar_str(res_nt)})
+    _emit(args, {"res_st": str(res_st), "res_nt": str(res_nt)})
     return 0
 
 
@@ -623,7 +624,7 @@ def cmd_trace_op(args):
     desc = _descriptor_from_args(args, default_n=1)
     phi = parse_operator(args.operator, desc, args.window)
     value = finite_potent_trace(phi, window=args.window)
-    _emit(args, {"value": _scalar_str(value)})
+    _emit(args, {"value": str(value)})
     return 0
 
 
@@ -633,8 +634,8 @@ def cmd_global_sum(args):
     base = BaseField(args.char)
     form = parse_rational_form(args.form, base)
     residues, total = global_residues(form)
-    locals_out = {repr(pt): _scalar_str(r) for pt, r in residues.items()}
-    _emit(args, {"sum": _scalar_str(total), "locals": locals_out})
+    locals_out = {repr(pt): str(r) for pt, r in residues.items()}
+    _emit(args, {"sum": str(total), "locals": locals_out})
     return 0
 
 

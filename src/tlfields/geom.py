@@ -9,17 +9,7 @@ gives exactly zero.
 """
 
 from .errors import FactorizationOutOfScope, IrreducibilityCheckInfeasible, LocalFieldError
-from .scalars import (
-    ExtField,
-    _divisors_signed,
-    _integer_poly,
-    _kronecker_factor,
-    _monic_polys,
-    _poly_divmod,
-    _poly_eval,
-    _poly_ext_gcd,
-    _poly_trim,
-)
+from .scalars import ExtField, _least_factor, _poly_divmod, _poly_ext_gcd, _poly_trim
 from .series import Series
 from .forms import SeparatedForm
 from .residue import res_tlf
@@ -116,95 +106,31 @@ def _poly_derivative(base, f):
 
 
 # ---------------------------------------------------------------------------
-# factorization of denominators (brute force, desk scale)
+# factorization of denominators (scalars._least_factor, desk scale)
 # ---------------------------------------------------------------------------
 
 
 def factor_denominator(base, den):
-    """Monic irreducible factors with multiplicities; bounded brute force."""
-    den = list(den)
+    """Monic irreducible factors with multiplicities, found least degree first
+    by the factor search that checks ExtField irreducibility.  Over F_p every
+    factor must have degree <= MAX_POINT_DEGREE; over Q, degree <= 2."""
     lead_inv = base.inv(den[-1])
     den = [base.mul(c, lead_inv) for c in den]
     factors = {}
-    if base.char:
-        for deg in range(1, MAX_POINT_DEGREE + 1):
-            if len(den) - 1 < deg:
-                break
-            for cand in _monic_polys(base.char, deg):
-                while True:
-                    q, r = _poly_divmod(base, den, cand)
-                    if r:
-                        break
-                    key = tuple(cand)
-                    factors[key] = factors.get(key, 0) + 1
-                    den = q
-                if len(den) - 1 < deg:
-                    break
-        if len(den) - 1 > 0:
-            raise FactorizationOutOfScope(
-                f"denominator has an irreducible factor of degree > {MAX_POINT_DEGREE}"
-            )
-        return factors
-    # rationals: linear factors by root search, the rest must split into quadratics
-    den = _extract_rational_roots(base, den, factors)
-    den = _extract_quadratics(base, den, factors)
-    if len(den) - 1 > 0:
-        raise FactorizationOutOfScope(
-            "denominator does not split into linear and quadratic factors over Q"
-        )
-    return factors
-
-
-def _extract_rational_roots(base, den, factors):
-    from fractions import Fraction
-
-    changed = True
-    while changed and len(den) - 1 >= 1:
-        changed = False
-        zpoly = _integer_poly(den)
-        if zpoly[0] == 0:
-            lin = [base.zero, base.one]
-            den, _ = _poly_divmod(base, den, lin)
-            factors[tuple(lin)] = factors.get(tuple(lin), 0) + 1
-            changed = True
-            continue
-        a0, an = zpoly[0], zpoly[-1]
-        for rn in _divisors_signed(a0):
-            done = False
-            for rd in _divisors_signed(an):
-                if rd <= 0:
-                    continue
-                root = Fraction(rn, rd)
-                if _poly_eval(base, den, root) == 0:
-                    lin = [-root, Fraction(1)]
-                    den, _ = _poly_divmod(base, den, lin)
-                    key = tuple(lin)
-                    factors[key] = factors.get(key, 0) + 1
-                    changed = done = True
-                    break
-            if done:
-                break
-    return den
-
-
-def _extract_quadratics(base, den, factors):
-    while len(den) - 1 >= 2:
-        if len(den) - 1 == 2:
-            lead_inv = base.inv(den[-1])
-            quad = tuple(base.mul(c, lead_inv) for c in den)
-            factors[quad] = factors.get(quad, 0) + 1
-            return [base.one]
-        # every rational root is gone, so a factor found here is a quadratic
+    while len(den) > 1:
         try:
-            quad = _kronecker_factor(base, den, 2)
+            g = _least_factor(base, den, MAX_POINT_DEGREE if base.char else 2)
         except IrreducibilityCheckInfeasible as exc:
             raise FactorizationOutOfScope("quadratic factor search too large") from exc
-        if quad is None:
-            return den
-        den, _ = _poly_divmod(base, den, quad)
-        quad = tuple(quad)
-        factors[quad] = factors.get(quad, 0) + 1
-    return den
+        if g is None:
+            raise FactorizationOutOfScope(
+                f"denominator has an irreducible factor of degree > {MAX_POINT_DEGREE}"
+                if base.char
+                else "denominator does not split into linear and quadratic factors over Q"
+            )
+        den = _poly_divmod(base, den, g)[0]
+        factors[tuple(g)] = factors.get(tuple(g), 0) + 1
+    return factors
 
 
 def enumerate_closed_points(base, den, include_infinity=True):

@@ -25,6 +25,7 @@ from .forms import (
     Gen,
     SeparatedForm,
     Sym,
+    _sort_sign,
     dlog,
     identity_mapping,
 )
@@ -202,18 +203,8 @@ def _leibniz_det(cols, field, depth):
         term = Series.one(field, depth)
         for c, r in enumerate(perm):
             term = term * cols[c][r]
-        det = det + (term if _perm_sign(perm) > 0 else -term)
+        det = det + (term if _sort_sign(perm)[0] > 0 else -term)
     return det
-
-
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def trace_forms(omega, spec):

@@ -204,7 +204,7 @@ def _poly_ext_gcd(k, f, g):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility by brute-force factor search
+# the least factor of a polynomial, by brute-force search
 # ---------------------------------------------------------------------------
 
 
@@ -219,14 +219,6 @@ def _monic_polys(p, degree):
             c //= p
         coeffs.append(1)
         yield coeffs
-
-
-def _check_irreducible_fp(k, poly):
-    d = len(poly) - 1
-    for deg in range(1, d // 2 + 1):
-        for g in _monic_polys(k.char, deg):
-            if not _poly_mod(k, poly, g):
-                raise ReduciblePolynomial(f"factor of degree {deg} found over GF({k.char})")
 
 
 def _divisors_signed(n):
@@ -254,27 +246,51 @@ def _integer_poly(poly):
     return [int(c * denom) for c in poly]
 
 
-def _check_irreducible_q(k, poly):
-    d = len(poly) - 1
-    # clear denominators: primitive integer polynomial, same factorization over Q
-    zpoly = _integer_poly(poly)
+def _least_factor(k, poly, max_deg):
+    """The monic factor of least degree 1..max_deg of a monic poly of degree
+    >= 1, or None.  Only degrees up to deg/2 are searched, so poly itself is
+    the answer when nothing turns up and its degree is at most max_deg.
 
-    # linear factors via the rational root theorem
-    a0, an = zpoly[0], zpoly[-1]
-    if a0 == 0:
+    Over F_p: trial division by every monic polynomial, degree by degree.
+    Over QQ: the root at 0, the rational roots (rational root theorem), then
+    Kronecker interpolation per degree, which may raise
+    IrreducibilityCheckInfeasible.  The first factor found has least degree
+    and comes first in that search order.
+    """
+    top = min(max_deg, (len(poly) - 1) // 2)
+    if k.char:
+        for deg in range(1, top + 1):
+            for g in _monic_polys(k.char, deg):
+                if not _poly_mod(k, poly, g):
+                    return g
+    elif top:
+        zpoly = _integer_poly(poly)
+        if zpoly[0] == 0:
+            return [k.zero, k.one]
+        r_dens = [r for r in _divisors_signed(zpoly[-1]) if r > 0]
+        for r_num in _divisors_signed(zpoly[0]):
+            for r_den in r_dens:
+                if _poly_eval(k, poly, Fraction(r_num, r_den)) == 0:
+                    return [-Fraction(r_num, r_den), k.one]
+        for deg in range(2, top + 1):
+            g = _kronecker_factor(k, poly, deg)
+            if g is not None:
+                return g
+    return list(poly) if len(poly) - 1 <= max_deg else None
+
+
+def _check_irreducible(k, poly):
+    """Raise ReduciblePolynomial naming the least factor of poly, if any."""
+    g = _least_factor(k, poly, len(poly) - 2)
+    if g is None:
+        return
+    if k.char:
+        raise ReduciblePolynomial(f"factor of degree {len(g) - 1} found over GF({k.char})")
+    if len(g) > 2:
+        raise ReduciblePolynomial(f"factor of degree {len(g) - 1} found over QQ")
+    if g[0] == 0:
         raise ReduciblePolynomial("root at 0")
-    for r_num in _divisors_signed(a0):
-        for r_den in _divisors_signed(an):
-            if r_den < 0:
-                continue
-            if _poly_eval(k, poly, Fraction(r_num, r_den)) == 0:
-                raise ReduciblePolynomial(f"rational root {Fraction(r_num, r_den)}")
-
-    # higher-degree factors via Kronecker interpolation
-    for deg in range(2, d // 2 + 1):
-        g = _kronecker_factor(k, poly, deg)
-        if g is not None:
-            raise ReduciblePolynomial(f"factor of degree {len(g) - 1} found over QQ")
+    raise ReduciblePolynomial(f"rational root {-g[0]}")
 
 
 def _kronecker_factor(k, poly, deg):
@@ -330,9 +346,10 @@ def _lagrange_interp(xs, ys):
 class ExtField:
     """A finite extension k[x]/(m(x)) of the base field, degree 1..6.
 
-    Irreducibility of m is verified at construction by exhaustive factor
-    search (trial division over F_p, root search plus Kronecker interpolation
-    over Q).
+    Irreducibility of m is verified at construction by _least_factor, the
+    one factor search over the base field (trial division over F_p, root
+    search plus Kronecker interpolation over Q), which geom also uses to
+    factor denominators.
     """
 
     __slots__ = ("base", "min_poly", "degree", "_zero", "_one", "_fold", "_fold_den")
@@ -346,10 +363,7 @@ class ExtField:
         if not 1 <= d <= MAX_EXT_DEGREE:
             raise LocalFieldError(f"extension degree {d} outside 1..{MAX_EXT_DEGREE}")
         if d > 1:
-            if base.char:
-                _check_irreducible_fp(base, min_poly)
-            else:
-                _check_irreducible_q(base, min_poly)
+            _check_irreducible(base, min_poly)
         self.base = base
         self.min_poly = tuple(min_poly)
         self.degree = d

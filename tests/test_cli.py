@@ -220,6 +220,12 @@ class TestCommands:
                        '"witness_shift":"inf"}')
         assert run_cli(capsys, "trace-op", "--n", "1", "mul(0)") == (0, '{"value":"0"}')
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_trace_zero_operator_above_level_one(self, capsys, n):
+        # the rung of the zero operator holds no pushdown entry; its bounds are
+        # those of level 1: image bound inf, killed shift 0
+        assert run_cli(capsys, "trace-op", "--n", n, "mul(0)") == (0, '{"value":"0"}')
+
     def test_certify_dimension_zero(self, capsys):
         # E(K) = End_k(K) at n = 0
         code, out = run_cli(capsys, "certify", "--n", "0", "mul(1)")
@@ -290,6 +296,28 @@ class TestCommands:
         expected = run_cli(capsys, *argv[:3], full, *argv[4:])
         assert expected[0] == 0
         assert run_cli(capsys, *argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["residue", "--char", "5", "--ext-poly", "1/2,0,1", "t1^-1*d(t1)"],
+             "at position 0: expected an integer coefficient in '1/2,0,1'"),
+            (["residue", "--ext-poly", "a,0,1", "t1^-1*d(t1)"],
+             "at position 0: expected a rational coefficient in 'a,0,1'"),
+            (["residue", "--ext-poly", "1,1/0,1", "t1^-1*d(t1)"],
+             "at position 2: expected a rational coefficient in '1,1/0,1'"),
+            (["trace-form", "--n", "1", "--upstairs-poly", "1,,1", "t1^-1*d(t1)"],
+             "at position 2: expected a rational coefficient in '1,,1'"),
+            (["trace-form", "--n", "1", "--char", "5", "--upstairs-poly", "1,0,x", "t1^-1*d(t1)"],
+             "at position 4: expected an integer coefficient in '1,0,x'"),
+        ],
+        ids=["ext-poly-fraction-over-fp", "ext-poly-name", "ext-poly-zero-denominator",
+             "upstairs-poly-empty", "upstairs-poly-name-over-fp"],
+    )
+    def test_malformed_polynomial_flag_is_a_parse_error(self, capsys, argv, error):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "error": error}
 
     def test_ambiguous_abbreviation_stays_ambiguous(self, capsys):
         # lift-matrix has --exponent beside --ext-poly

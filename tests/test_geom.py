@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tlfields.errors import FactorizationOutOfScope
-from tlfields.scalars import BaseField, _poly_divmod, _poly_mul, _poly_trim
+from tlfields.errors import FactorizationOutOfScope, ReduciblePolynomial
+from tlfields.scalars import BaseField, _poly_divmod, _poly_mul, _poly_trim, make_extension
 from tlfields.geom import (
     ClosedPoint,
     RationalForm,
     enumerate_closed_points,
+    factor_denominator,
     global_residue_sum,
     global_residues,
     local_expansion,
@@ -161,6 +163,12 @@ class TestEnumerate:
         with pytest.raises(FactorizationOutOfScope, match="quadratic factor search too large"):
             enumerate_closed_points(Q, [720720, 0, 720719, 0, 1])
 
+    def test_root_free_cubic_needs_no_quadratic_search(self, Q):
+        # a cubic without a rational root is irreducible, so it is out of scope
+        # before any Kronecker search, whose budget its values at 0, 1, -1 exceed
+        with pytest.raises(FactorizationOutOfScope, match="does not split"):
+            enumerate_closed_points(Q, [720720, 720719, 720720, 1])
+
 
 class TestLocalExpansion:
     def test_simple_pole(self, Q):
@@ -270,3 +278,92 @@ class TestGlobalSum:
         from tlfields.scalars import ext_trace
 
         assert local_residue(form, pt) == ext_trace(g.coefficient_at((-1,)))
+
+
+# -- the one factor search, against references of its own ---------------------
+
+
+def _fp_monic(p, deg):
+    for low in itertools.product(range(p), repeat=deg):
+        yield list(low) + [1]
+
+
+def _fp_divides(g, f, p):
+    """Whether the monic g divides f over F_p, by long division."""
+    f = list(f)
+    while len(f) >= len(g):
+        top, shift = f.pop(), len(f) + 1 - len(g)
+        for i, c in enumerate(g[:-1]):
+            f[shift + i] = (f[shift + i] - top * c) % p
+    return not any(f)
+
+
+def _fp_least_factor_degree(p, f):
+    """The least degree of a proper monic factor of f, trying every degree
+    below deg f; None when f is irreducible."""
+    return next((deg for deg in range(1, len(f) - 1)
+                 if any(_fp_divides(g, f, p) for g in _fp_monic(p, deg))), None)
+
+
+class TestOneFactorSearch:
+    @pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3)])
+    def test_every_monic_polynomial_over_fp(self, p, top):
+        base = BaseField(p)
+        for d in range(1, top + 1):
+            for f in _fp_monic(p, d):
+                least = _fp_least_factor_degree(p, f)
+                if least is None:
+                    assert make_extension(p, f).degree == d
+                else:
+                    with pytest.raises(ReduciblePolynomial) as ei:
+                        make_extension(p, f)
+                    assert str(ei.value) == f"factor of degree {least} found over GF({p})"
+                factors = factor_denominator(base, f)
+                product = [1]
+                for g, m in factors.items():
+                    assert g[-1] == 1 and _fp_least_factor_degree(p, list(g)) is None
+                    for _ in range(m):
+                        product = _poly_mul(base, product, list(g))
+                assert product == f
+
+    def test_seeded_products_over_q_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        Q = BaseField(0)
+        rng = random.Random(11)
+        for _ in range(60):
+            f = [Fraction(1)]
+            while True:
+                deg = rng.choice((1, 2, 2, 3))
+                if len(f) - 1 + deg > 5:
+                    break
+                g = [Fraction(rng.randint(-5, 5)) for _ in range(deg)] + [Fraction(1)]
+                f = _poly_mul(Q, f, g)
+                if rng.random() < 0.3:
+                    break
+            expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** e for e, c in enumerate(f))
+            _, oracle = sympy.factor_list(expr, x)
+            monic = {}
+            for h, m in oracle:
+                coeffs = [Fraction(int(c)) for c in reversed(sympy.Poly(h, x).all_coeffs())]
+                monic[tuple(c / coeffs[-1] for c in coeffs)] = m
+            # make_extension accepts exactly the irreducible f, naming the least factor
+            least = min(len(g) - 1 for g in monic)
+            if list(monic.values()) == [1] and least == len(f) - 1:
+                assert make_extension(0, f).degree == len(f) - 1
+            else:
+                with pytest.raises(ReduciblePolynomial) as ei:
+                    make_extension(0, f)
+                if least > 1:
+                    assert str(ei.value) == f"factor of degree {least} found over QQ"
+                elif f[0] == 0:
+                    assert str(ei.value) == "root at 0"
+                else:
+                    root = Fraction(str(ei.value).removeprefix("rational root "))
+                    assert (-root, Fraction(1)) in monic
+            # factor_denominator splits f into points of degree <= 2, or refuses
+            if max(len(g) - 1 for g in monic) > 2:
+                with pytest.raises(FactorizationOutOfScope):
+                    factor_denominator(Q, f)
+            else:
+                assert factor_denominator(Q, f) == monic
