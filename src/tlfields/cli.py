@@ -502,6 +502,24 @@ def _extension_from_flag(char, text):
     return make_extension(char, poly)
 
 
+def _target_from_flag(text):
+    """"E", or the pair (i, j) for a flag value "i,j" of two integers."""
+    if text == "E":
+        return "E"
+    pair, at = [], 0
+    for part in text.split(","):
+        if len(pair) == 2:
+            raise ParseError(at - 1, "end of input", text)
+        try:
+            pair.append(int(part))
+        except ValueError:
+            raise ParseError(at, "'E' or an integer" if at == 0 else "an integer", text) from None
+        at += len(part) + 1
+    if len(pair) < 2:
+        raise ParseError(len(text), "',' and a second integer", text)
+    return tuple(pair)
+
+
 def _descriptor_from_args(args, default_n=1):
     char = args.char
     if args.ext_poly:
@@ -570,11 +588,7 @@ def cmd_counterexample(args):
 def cmd_certify(args):
     desc = _descriptor_from_args(args, default_n=1)
     phi = parse_operator(args.operator, desc, args.window)
-    if args.target == "E":
-        target = "E"
-    else:
-        i, j = args.target.split(",")
-        target = (int(i), int(j))
+    target = _target_from_flag(args.target)
     try:
         cert = certify_membership(phi, target)
     except NotCertifiable as exc:

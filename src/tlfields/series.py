@@ -44,7 +44,21 @@ by the product of the two lcms over QQ).
 
 Smaller products, and operands so sparse that the packed box would hold more
 than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep the
-coefficientwise convolution; the inverse keeps its recurrence.
+coefficientwise convolution.
+
+The inverse runs the recurrence out[k] = -d0 * sum_i c[i] * out[k - i], d0
+being the inverse of c[0].  At depth >= 2, when at least ``_PACK_MIN_COEFFS``
+level-1 coefficients are not exact zeros, it runs on packed rows: every
+depth-(n-1) coefficient c[i], -d0 and out[k] is packed once, in one layout of
+slots per level below the top and one slot width.  Each sum is accumulated
+unreduced, as the products of packed rows shifted to the lowest exponents of
+the sum, and read back at the slots its shape keeps (the sum rule over the
+product shapes, in the order the recurrence adds them); out[k] is the product
+of -d0 with that sum, packed, read back the same way.  Shapes and values are
+the recurrence's, by the argument above.  The box and the width come from the
+spans and the bound of each step's pairs: when a step needs more, they grow
+and the rows are packed again.  Depth 1 and sparser operands keep the
+coefficientwise recurrence.
 
 Substitution t_i -> a_i runs Horner's rule in t_1, recursing into the inner
 levels, only below the level-1 end its result keeps: b_1 + 1, for the lex-least
@@ -53,7 +67,7 @@ are skipped and the accumulator is cut after every step, at every level.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     DivisionByZero,
@@ -348,7 +362,20 @@ class Series:
     __rmul__ = __mul__
 
     def inv(self, window=None):
-        """Multiplicative inverse, correct on the propagated window."""
+        """Multiplicative inverse, correct on the propagated window.
+
+        ``window``, an integer >= 1 or None for DEFAULT_WINDOW, is the number
+        of level-1 coefficients computed for an exact operand; an inexact one
+        gets as many as it stores.  An exact operand with one level-1
+        coefficient c0 inverts to c0^-1 * t_1^-order, exact at level 1.  Else the
+        coefficients come from the recurrence out[k] = -d0 * sum c[i] out[k-i],
+        d0 being the inverse of c0 (on ``window`` at the levels below); at
+        depth >= 2, with at least ``_PACK_MIN_COEFFS`` level-1 coefficients
+        that are not exact zeros, it runs on packed rows (see the module
+        docstring).
+        """
+        if window is not None:
+            check_window(window)
         if self.depth == 0:
             if self.scalar.is_zero():
                 raise DivisionByZero("inverse of exact zero")
@@ -374,8 +401,12 @@ class Series:
             w = DEFAULT_WINDOW if window is None else window
         c, zero, is_zero = self._level1_values()
         c = _pad(c, 0, w, zero)
-        d0 = c0.scalar.inv() if self.depth == 1 else c0.inv(window)
-        out = self._from_level1_values(_invert(c, d0, w, zero, is_zero))
+        if self.depth == 1:
+            out = self._from_level1_values(_invert(c, c0.scalar.inv(), w, zero, is_zero))
+        elif sum(not x.is_exact_zero() for x in c) >= _PACK_MIN_COEFFS:
+            out = _packed_invert(c, c0.inv(window), w)
+        else:
+            out = _invert(c, c0.inv(window), w, zero, is_zero)
         return Series(self.field, self.depth, order=-self.order, coeffs=out, exact=False)
 
     def __truediv__(self, other):
@@ -640,6 +671,40 @@ def _stored_rows(x, path=()):
     return rows
 
 
+class _Packable:
+    """A series of depth >= 1 as packing sees it: its stored depth-1 rows, the
+    number n of scalars they store, the integer coordinates of those scalars
+    (over QQ times den, the lcm of their denominators) and the largest of them
+    in absolute value, and per level the lowest stored exponent and the span of
+    stored exponents.  The packed int is kept with the layout it was packed
+    for."""
+
+    __slots__ = ("series", "rows", "values", "n", "den", "top", "lo", "span", "packed", "layout")
+
+    def __init__(self, x):
+        self.series = x
+        self.rows = _stored_rows(x)
+        self.n = sum(len(r[2]) for r in self.rows)
+        values = [c for r in self.rows for s in r[2] for c in s.coeffs]
+        self.den = 1
+        if values:
+            if not x.field.char:
+                values, self.den = _clear_denominators(values)
+            self.top = max(map(abs, values))
+            self.lo, self.span = _extents(self.rows, x.depth)
+        self.values = values
+        self.layout = None
+
+    def pack(self, layout):
+        """The packed int for layout (strides, width); see _pack."""
+        if self.layout is not layout:
+            strides, width = layout
+            self.packed = _pack(self.rows, self.values, self.lo, self.span[0], strides,
+                                self.series.field.degree, width)
+            self.layout = layout
+        return self.packed
+
+
 def _extents(rows, depth):
     """The lowest stored exponent and the span of stored exponents per level."""
     lo = [min(r[0][level] for r in rows) for level in range(depth - 1)]
@@ -647,6 +712,27 @@ def _extents(rows, depth):
     lo.append(min(r[1] for r in rows))
     hi.append(max(r[1] + len(r[2]) - 1 for r in rows))
     return lo, [h - l + 1 for l, h in zip(lo, hi)]
+
+
+def _strides(sizes, d):
+    """Slots per step at each level of a box of sizes[l] exponents per level,
+    each scalar taking 2d - 1 slots; sizes[0] is not needed."""
+    strides = [2 * d - 1]
+    for size in reversed(sizes[1:]):
+        strides.insert(0, strides[0] * size)
+    return strides
+
+
+def _slot_width(bound, p):
+    """Bytes per slot for slots of absolute value at most bound; over QQ the
+    slots are signed and need one more bit."""
+    return (bound.bit_length() + (0 if p else 1) + 7) // 8
+
+
+def _pair_bound(x, y, d):
+    """A bound on every slot of the product of packed x and y: each slot sums
+    at most min(x.n, y.n) * d products of coordinates."""
+    return min(x.n, y.n) * d * x.top * y.top
 
 
 def _pack(rows, values, lo, span, strides, d, width):
@@ -679,39 +765,15 @@ def _pack(rows, values, lo, span, strides, d, width):
     return packed
 
 
-def _kronecker_product(x, y):
-    """x * y by one product of packed big ints (see the module docstring), for
-    series x, y of one depth and field that are not exact zeros; None when the
-    packed box would hold too many slots per pair of stored scalars."""
-    field, depth = x.field, x.depth
-    xrows, yrows = _stored_rows(x), _stored_rows(y)
-    xn = sum(len(r[2]) for r in xrows)
-    yn = sum(len(r[2]) for r in yrows)
-    if not xn or not yn:
-        return None
-    xlo, xspan = _extents(xrows, depth)
-    ylo, yspan = _extents(yrows, depth)
-    sizes = [a + b - 1 for a, b in zip(xspan, yspan)]
-    if prod(sizes) > _PACK_BOX_PER_PAIR * xn * yn:
-        return None
-    d = field.degree
-    strides = [2 * d - 1]
-    for size in reversed(sizes[1:]):
-        strides.insert(0, strides[0] * size)
-    p = field.char
-    xv = [c for r in xrows for s in r[2] for c in s.coeffs]
-    yv = [c for r in yrows for s in r[2] for c in s.coeffs]
-    if p:
-        den = 1
-    else:
-        xv, xd = _clear_denominators(xv)
-        yv, yd = _clear_denominators(yv)
-        den = xd * yd
-    bound = min(xn, yn) * d * max(map(abs, xv)) * max(map(abs, yv))
-    # bytes per slot; over QQ the slots are signed and need one more bit
-    width = (bound.bit_length() + (0 if p else 1) + 7) // 8
-    packed = (_pack(xrows, xv, xlo, xspan[0], strides, d, width)
-              * _pack(yrows, yv, ylo, yspan[0], strides, d, width))
+def _unpack(shape, field, packed, den, los, sizes, layout):
+    """The series of the given shape (see _product_shape) whose stored scalars
+    are read from a packed sum of products: the coordinates of the scalar at
+    exponents k fill 2d - 1 slots from slot sum_l (k_l - los[l]) * strides[l]
+    when every k_l lies in [los[l], los[l] + sizes[l]), and are zero outside
+    that box.  Over QQ the slots are signed and each scalar is divided by den.
+    Only the slots the shape keeps are read, each scalar reduced once."""
+    strides, width = layout
+    depth, d, p = len(los), field.degree, field.char
     total = strides[0] * sizes[0]
     half = 0
     if not p:
@@ -719,8 +781,6 @@ def _kronecker_product(x, y):
         half = 1 << (8 * width - 1)
         packed += int.from_bytes((bytes(width - 1) + b"\x80") * total, "little")
     raw = packed.to_bytes(total * width, "little")
-
-    los = [a + b for a, b in zip(xlo, ylo)]
     step = (2 * d - 1) * width
     reduce = field._reduce
     zero = Series(field, 0, scalar=field.zero)
@@ -754,7 +814,25 @@ def _kronecker_product(x, y):
                 coeffs.append(build(child, level + 1, base + (k - lo) * stride))
         return Series(field, depth - level, order=start, coeffs=coeffs, exact=exact)
 
-    return build(_product_shape(x, y), 0, 0)
+    return build(shape, 0, 0 if total else None)
+
+
+def _kronecker_product(x, y):
+    """x * y by one product of packed big ints (see the module docstring), for
+    series x, y of one depth and field that are not exact zeros; None when the
+    packed box would hold too many slots per pair of stored scalars."""
+    field = x.field
+    x, y = _Packable(x), _Packable(y)
+    if not x.n or not y.n:
+        return None
+    d = field.degree
+    sizes = [a + b - 1 for a, b in zip(x.span, y.span)]
+    if prod(sizes) > _PACK_BOX_PER_PAIR * x.n * y.n:
+        return None
+    layout = (_strides(sizes, d), _slot_width(_pair_bound(x, y, d), field.char))
+    los = [a + b for a, b in zip(x.lo, y.lo)]
+    return _unpack(_product_shape(x.series, y.series), field, x.pack(layout) * y.pack(layout),
+                   x.den * y.den, los, sizes, layout)
 
 
 def _invert(c, d0, w, zero, is_zero):
@@ -769,6 +847,74 @@ def _invert(c, d0, w, zero, is_zero):
             s = s + x * out[k - i]
         out.append(-(d0 * s))
     return out
+
+
+def _packed_invert(c, d0, w):
+    """_invert for coefficients c of depth >= 1 on packed rows (see the module
+    docstring): the same recurrence, with each sum of products read back from
+    one int and each coefficient -d0 * s read back from one more."""
+    field, depth = d0.field, d0.depth
+    d, p = field.degree, field.char
+    zero = Series.zero(field, depth)
+    # the box: sizes[l] exponents at each level l below the top (sizes[0] is
+    # not used), and the slot width
+    sizes, width = [1] * depth, 1
+    layout = (_strides(sizes, d), width)
+
+    def read(shape, pairs):
+        """The series of the given shape whose values are sum x * y over the
+        pairs of packed rows; the box and the width grow when they must."""
+        nonlocal sizes, width, layout
+        pairs = [(x, y) for x, y in pairs if x.n and y.n]
+        if not pairs:
+            return _unpack(shape, field, 0, 1, [0] * depth, [0] * depth, layout)
+        bases = [[a + b for a, b in zip(x.lo, y.lo)] for x, y in pairs]
+        los = [min(level) for level in zip(*bases)]
+        need = [max(b[l] - los[l] + x.span[l] + y.span[l] - 1 for b, (x, y) in zip(bases, pairs))
+                for l in range(depth)]
+        den = 1 if p else lcm(*(x.den * y.den for x, y in pairs))
+        scales = [den // (x.den * y.den) for x, y in pairs]
+        fit = _slot_width(sum(s * _pair_bound(x, y, d) for s, (x, y) in zip(scales, pairs)), p)
+        if fit > width or any(a > b for a, b in zip(need[1:], sizes[1:])):
+            sizes = [max(a, b) for a, b in zip(need, sizes)]
+            width = max(width, fit)
+            layout = (_strides(sizes, d), width)
+        strides = layout[0]
+        packed = 0
+        for (x, y), b, s in zip(pairs, bases, scales):
+            shift = sum((bl - l) * st for bl, l, st in zip(b, los, strides))
+            packed += (x.pack(layout) * y.pack(layout) * s) << (8 * width * shift)
+        return _unpack(shape, field, packed, den, los, [need[0]] + sizes[1:], layout)
+
+    minus_d0 = _Packable(-d0)
+    terms = [(i, _Packable(x)) for i, x in enumerate(c) if i and not x.is_exact_zero()]
+    # out_rows[k] is out[k] packable, None where out[k] is an exact zero
+    out, out_rows = [d0], [_Packable(d0)]
+    for k in range(1, w):
+        shape, pairs = None, []
+        for i, x in terms:
+            if i > k:
+                break
+            y = out_rows[k - i]
+            if y is not None:
+                shape_xy = _product_shape(x.series, y.series)
+                shape = shape_xy if shape is None else _sum_shape(shape, shape_xy)
+                pairs.append((x, y))
+        s = zero if shape is None else read(shape, pairs)
+        if s.is_exact_zero():
+            out.append(zero)
+            out_rows.append(None)
+            continue
+        s = _Packable(s)
+        out.append(read(_product_shape(minus_d0.series, s.series), [(minus_d0, s)]))
+        out_rows.append(_Packable(out[-1]))
+    return out
+
+
+def check_window(window):
+    """Require a precision window to be an integer >= 1."""
+    if not isinstance(window, int) or window < 1:
+        raise LocalFieldError(f"precision window must be an integer >= 1, got {window!r}")
 
 
 def check_uniformizer_valuations(assignment):

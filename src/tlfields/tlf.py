@@ -30,6 +30,7 @@ from .scalars import ExtField
 from .series import (
     DEFAULT_WINDOW,
     Series,
+    check_window,
     newton_inverse_1d,
     residue_level1,
     truncate_level1,
@@ -44,8 +45,7 @@ class TlfDescriptor:
             raise LocalFieldError("dimension must be nonnegative")
         if not isinstance(field, ExtField):
             raise LocalFieldError("last residue field must be an ExtField")
-        if not isinstance(window, int) or window < 1:
-            raise LocalFieldError(f"precision window must be an integer >= 1, got {window!r}")
+        check_window(window)
         self.n = n
         self.field = field
         self.window = window

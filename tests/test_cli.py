@@ -319,6 +319,26 @@ class TestCommands:
         assert code == 2
         assert json.loads(out) == {"code": "parse-error", "error": error}
 
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            ("1,x", "at position 2: expected an integer in '1,x'"),
+            ("1", "at position 1: expected ',' and a second integer in '1'"),
+            ("1,2,3", "at position 3: expected end of input in '1,2,3'"),
+        ],
+        ids=["not-an-integer", "one-integer", "three-integers"],
+    )
+    def test_malformed_target_is_a_parse_error(self, capsys, target, error):
+        code, out = run_cli(capsys, "certify", "--n", "1", "--target", target, "mul(1)")
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "error": error}
+
+    def test_well_formed_target_out_of_range(self, capsys):
+        code, out = run_cli(capsys, "certify", "--n", "1", "--target", "0,1", "mul(1)")
+        assert code == 4
+        assert json.loads(out) == {
+            "certified": False, "reason": "target (0, 1) out of range for dimension 1"}
+
     def test_ambiguous_abbreviation_stays_ambiguous(self, capsys):
         # lift-matrix has --exponent beside --ext-poly
         with pytest.raises(SystemExit) as ei:

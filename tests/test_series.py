@@ -1,14 +1,16 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tlfields.errors import (
     DivisionByZero,
     IndeterminateValuation,
     InsufficientPrecision,
+    LocalFieldError,
     NotUniformizers,
 )
 import tlfields.series as series_module
@@ -16,7 +18,10 @@ from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
     _compose_1d,
+    _invert,
     _kronecker_product,
+    _packed_invert,
+    _pad,
     agree_within_window,
     check_uniformizer_valuations,
     newton_inverse_1d,
@@ -145,6 +150,17 @@ class TestArithmetic:
     def test_inverse_of_zero(self, Q):
         with pytest.raises(DivisionByZero):
             Series.zero(Q, 1).inv()
+
+    @pytest.mark.parametrize("window", [0, -3, 2.0])
+    def test_inverse_rejects_a_window_below_one(self, Q, window):
+        t = Series.generator(Q, 1, 1)
+        t1, t2 = Series.generator(Q, 2, 1), Series.generator(Q, 2, 2)
+        message = f"precision window must be an integer >= 1, got {window!r}"
+        for x in (Series.one(Q, 1) + t, t1 * (Series.one(Q, 2) + t2)):
+            with pytest.raises(LocalFieldError, match=re.escape(message)):
+                x.inv(window)
+            with pytest.raises(LocalFieldError, match=re.escape(message)):
+                x.__pow__(-2, window)
 
     def test_inverse_indeterminate_leading(self, Q):
         x = truncate_level1(S(Q, 1, {(0,): Q.one}), 3)
@@ -630,6 +646,31 @@ def _assert_same_series(got, want):
     ]
 
 
+def _operands_at_the_bound(field, n):
+    """x and y whose packed product puts a kept slot at the width bound.
+
+    y is cut to n coefficients, so the kept slot of t^(min(n, 12) - 1) sums
+    m = min(n, 12) pairs: every coordinate at its largest height and every
+    product of one sign (negative over QQ) put it at the width bound
+    m * d * top^2.  Over QQ that bound also fills the last bit of its top byte
+    and is no power of two, so a slot without the sign bit would spill into
+    the next.
+    """
+    d, m = field.degree, min(n, 12)
+    if field.char:
+        top, x_coord, y_coord = field.char - 1, field.char - 1, field.char - 1
+    else:
+        def fills_top_byte(h):
+            bound = m * d * h * h
+            return bound.bit_length() % 8 == 0 and bound & (bound - 1)
+
+        top = next(h for h in range(2, 10**4) if fills_top_byte(h))
+        x_coord, y_coord = Fraction(top, 7), Fraction(-top, 5)
+    x = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (x_coord,) * d))] * 12)
+    y = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (y_coord,) * d))] * 12)
+    return x, truncate_level1(y, n)
+
+
 class TestPackedProduct:
     """The Kronecker-packed product equals the convolution at every depth."""
 
@@ -648,25 +689,7 @@ class TestPackedProduct:
     @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
     @pytest.mark.parametrize("n", [1, 7, 12, 30])
     def test_slots_at_the_bound(self, field, n):
-        # y is cut to n coefficients, so the kept slot of t^(min(n, 12) - 1)
-        # sums m = min(n, 12) pairs: every coordinate at its largest height and
-        # every product of one sign (negative over QQ) put it at the width
-        # bound m * d * top^2.  Over QQ that bound also fills the last bit of
-        # its top byte and is no power of two, so a slot without the sign bit
-        # would spill into the next.
-        d, m = field.degree, min(n, 12)
-        if field.char:
-            top, x_coord, y_coord = field.char - 1, field.char - 1, field.char - 1
-        else:
-            def fills_top_byte(h):
-                bound = m * d * h * h
-                return bound.bit_length() % 8 == 0 and bound & (bound - 1)
-
-            top = next(h for h in range(2, 10**4) if fills_top_byte(h))
-            x_coord, y_coord = Fraction(top, 7), Fraction(-top, 5)
-        x = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (x_coord,) * d))] * 12)
-        y = Series(field, 1, coeffs=[Series(field, 0, scalar=ExtScalar(field, (y_coord,) * d))] * 12)
-        y = truncate_level1(y, n)
+        x, y = _operands_at_the_bound(field, n)
         _assert_same_series(_kronecker_product(x, y), _convolved(x, y))
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS[:2], ids=repr)
@@ -679,6 +702,109 @@ class TestPackedProduct:
         assert _kronecker_product(x, y) is None
         _assert_same_series(x * y, _convolved(x, y))
         _assert_same_series(_kronecker_product(y, y), _convolved(y, y))
+
+
+# QQ, F_5, Q(i), F5[x]/(x^2 - 2) and F2[x]/(x^3 + x + 1)
+INVERSE_FIELDS = KERNEL_FIELDS[:2] + [PACKED_FIELDS[2], PACKED_FIELDS[0], PACKED_FIELDS[1]]
+
+
+@st.composite
+def _inverse_case(draw):
+    """(c, d0, w): the level-1 coefficients c of a series of depth 2 or 3,
+    exact, inexact or cut to a box, padded or cut to a window w of 1..32, and
+    d0 = 1 / c[0] on an inner window of at most 6."""
+    field = draw(st.sampled_from(INVERSE_FIELDS))
+    depth = draw(st.integers(2, 3))
+    scalar = _high_scalar(field) if draw(st.booleans()) else _scalar(field)
+    exponents = draw(st.sampled_from([st.integers(0, 1), st.integers(-2, 2), st.integers(-12, 12)]))
+    x = draw(_series(field, depth, scalar, exponents))
+    cut = draw(st.sampled_from(["exact", "level1", "box"]))
+    if cut != "exact" and not x.is_exact_zero():
+        ends = [x.order + draw(st.integers(1, 6))]
+        if cut == "box":
+            ends += [draw(st.integers(1, 4)) for _ in range(depth - 1)]
+        x = truncate_box(x, ends)
+    assume(x.coeffs)
+    w = draw(st.integers(1, 32))
+    c = _pad(list(x.coeffs), 0, w, Series.zero(field, depth - 1))
+    try:
+        d0 = c[0].inv(draw(st.integers(1, 6)))
+    except InsufficientPrecision:
+        assume(False)
+    return c, d0, w
+
+
+def _assert_same_inverse(c, d0, w):
+    want = _invert(c, d0, w, Series.zero(d0.field, d0.depth), Series.is_exact_zero)
+    got = _packed_invert(c, d0, w)
+    assert len(got) == len(want) == w
+    for g, x in zip(got, want):
+        _assert_same_series(g, x)
+
+
+def _row(field, order, values, exact=False):
+    """A depth-1 series of integer scalars."""
+    return Series(field, 1, order=order, exact=exact,
+                  coeffs=[Series(field, 0, scalar=field.from_int(v)) for v in values])
+
+
+class TestPackedInverse:
+    """The inverse recurrence on packed rows equals _invert at depths 2 and 3."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(_inverse_case())
+    def test_equals_recurrence(self, case):
+        _assert_same_inverse(*case)
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS, ids=repr)
+    def test_row_storing_no_scalar(self, field):
+        # c[1] = 0 + O(11) stores nothing, so s_1 = c[1] * d0 and out[1]
+        # store nothing either, and must read back inexact
+        c = [_row(field, 0, [1, 2], exact=True), Series(field, 1, order=11, exact=False),
+             _row(field, 0, [1]), _row(field, -1, [3, 0, 1]), _row(field, 2, [1, 1])]
+        d0 = c[0].inv(8)
+        _assert_same_inverse(c, d0, 8)
+        got = _packed_invert(c, d0, 8)
+        assert got[1] == Series(field, 1, order=11, exact=False)
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS[:2], ids=repr)
+    def test_operand_rows_storing_no_scalar(self, field):
+        # at depth 3 every row after c[0] holds only coefficients 0 + O(k):
+        # no pair of rows stores a scalar, so no sum sets the slot width
+        t2 = Series.generator(field, 2, 1)  # t_2, the first variable of a row
+        empty = Series(field, 2, order=0, exact=False,
+                       coeffs=[Series(field, 1, order=k, exact=False) for k in (2, 3)])
+        c = [Series.one(field, 2) + t2] + [empty] * 5
+        _assert_same_inverse(c, c[0].inv(6), 6)
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS[:2], ids=repr)
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_sparse_operand_with_wide_spans(self, field, depth):
+        # the innermost exponents alternate between -40 and 40 and spread
+        # further at every step, so the box must grow to what each step
+        # needs; a box sized from the first rows aliases
+        t = [Series.generator(field, depth, i) for i in range(1, depth + 1)]
+        x = Series.one(field, depth) + sum(
+            (t[0] ** k * t[-1] ** (40 if k % 2 else -40) * (k + 1) for k in range(1, 6)),
+            Series.zero(field, depth))
+        if depth == 3:
+            x = x + t[0] * t[1] * t[2] + t[0] ** 2 * t[1] ** -1
+        zero = Series.zero(field, depth - 1)
+        for y in (x, truncate_box(x, [5] + [3] * (depth - 1)), truncate_level1(x, 4)):
+            c = _pad(list(y.coeffs), 0, 9, zero)
+            _assert_same_inverse(c, c[0].inv(9), 9)
+        TestWindowSoundness()._compare(truncate_level1(x, 5).inv(9), x.inv(12))
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 7, 12, 30])
+    def test_slots_at_the_bound(self, field, n):
+        # d0 = 1 / c[0] is the x of _operands_at_the_bound and c[1] its y, so
+        # the first sum of products, c[1] * d0, puts a kept slot at the bound
+        x, y = _operands_at_the_bound(field, n)
+        c = [x.inv(12), y]
+        d0 = c[0].inv()
+        assert d0 == truncate_level1(x, 12)
+        _assert_same_inverse(c, d0, 2)
 
 
 class TestPower:
