@@ -8,8 +8,9 @@ Series of depth n over the extension field k'.  The module provides:
   * systems of coefficient-field liftings, standard and derivation-twisted,
   * expansion of elements as sum_q sigma(b_q) a^q and its reassembly,
   * artinian quotients O_1/m_1^(l+1) and the change-of-lifting matrix
-    between two liftings of such a quotient, with a commutator-filtration
-    certificate of each entry's differential-operator order.
+    between two liftings of such a quotient, with each entry's
+    differential-operator order derived from the liftings and cross-checked
+    by the commutator filtration on probes.
 """
 
 from collections import Counter
@@ -298,6 +299,21 @@ class LiftingSpec:
     def is_standard(self):
         return self.kind == "standard"
 
+    def component_order(self, k):
+        """Order bound of sigma_k, the t_1^k component of this lifting, as a
+        differential operator on the residue field; None where sigma_k is zero.
+
+        sigma(x) = sum_k t_1^k sigma_std(sigma_k(x)).  sigma_0 is the identity
+        for either kind, since a lifting is a section of the residue map.  A
+        twisted sigma_k is D^k/k! with D = c d/dt_axis, of order <= k, and is
+        zero above the truncation depth.
+        """
+        if k == 0:
+            return 0
+        if self.is_standard() or k > self.depth:
+            return None
+        return k
+
     def _check_char(self, field):
         if self.kind == "twisted" and field.char and self.depth > field.char - 1:
             raise CharacteristicObstruction(
@@ -538,14 +554,47 @@ class ArtinianQuotient:
         ]
 
 
+def _most(bounds):
+    """Order bound of a sum of operators with these bounds; None (zero) marks
+    an operator that contributes nothing."""
+    return max((b for b in bounds if b is not None), default=None)
+
+
 class LiftingMatrix:
     """The matrix relating coordinates of one lifting to another on A.
 
     Entry (i, j) is the operator gamma_{i,j} on k_1(A) defined by
     sigma(b) m_i = sum_j sigma'(gamma_{i,j}(b)) m_j, stored as a plain
-    function that computes gamma_{i,j}(b) by the triangular solve.  For
-    filtered bases it is unit upper triangular, with entry orders certified by
-    the commutator filtration on a probe set.
+    function that computes gamma_{i,j}(b) by the triangular solve.
+
+    ``orders[i][j]`` bounds the differential order of gamma_{i,j}, or is None
+    where gamma_{i,j} is zero.  The bounds follow from the liftings'
+    component orders (``LiftingSpec.component_order``) by induction over the
+    triangular solve, for any filtered basis m_i = sum_{e>=i} t_1^e mu_{i,e}
+    with mu_{i,i} a unit:
+
+      * Component e of sigma(b) m_i is sum_{k+e'=e} mu_{i,e'} sigma_k(b).
+        Multiplication by an element of k_1 has order 0, so its order is at
+        most max_{k<=e-i} ord(sigma_k), and it is zero for e < i.
+      * Throughout the solve, let rho_e bound component e of the remainder r.
+        The coordinate c_jj is the t_1^0 coefficient of r m_jj^(-1), where
+        m_jj^(-1) starts at t_1^(-jj); it sums components e <= jj of r times
+        scalars, so its order is at most max_{e<=jj} rho_e.
+      * Subtracting sigma'(c_jj) m_jj changes component e >= jj by
+        sum_{k<=e-jj} mu_{jj,e-k} sigma'_k(c_jj).  Orders of differential
+        operators add under composition (EGA IV, 16.8, in every
+        characteristic), so rho_e grows to at most
+        max_{k<=e-jj} ord(sigma'_k) + ord(c_jj).
+
+    With ord(sigma_k), ord(sigma'_k) <= k, induction on jj gives
+    rho_e <= e - i, so gamma_{i,j} has order <= j - i.  Below the diagonal
+    every rho_e with e <= j < i is zero, so gamma_{i,j} = 0.  On the diagonal
+    gamma_{i,i}(b) is the t_1^0 coefficient of sigma(b) m_i m_i^(-1), that is
+    sigma_0(b) = b, since both component-0 maps are the identity.  Hence the
+    matrix is unit upper triangular (``unit_triangular``).
+
+    ``orders_hold`` and ``is_unit_upper_triangular`` replay these claims on
+    probes as a cross-check; the proof above is the certificate.
     """
 
     def __init__(self, quotient, sigma, sigma_prime, basis, entries):
@@ -555,6 +604,24 @@ class LiftingMatrix:
         self.basis = basis
         self.entries = entries
         self.rank = len(basis)
+        self.orders = []
+        for i in range(self.rank):
+            # rho[e] bounds the t_1^e component of the remainder of row i
+            rho = [_most(sigma.component_order(k) for k in range(e - i + 1))
+                   for e in range(self.rank)]
+            row = []
+            for j in range(self.rank):
+                row.append(_most(rho[:j + 1]))
+                if row[j] is None:
+                    continue
+                for e in range(j, self.rank):
+                    step = _most(sigma_prime.component_order(k) for k in range(e - j + 1))
+                    if step is not None:
+                        rho[e] = _most((rho[e], step + row[j]))
+            self.orders.append(row)
+        self.unit_triangular = all(
+            self.orders[i][j] is None for i in range(self.rank) for j in range(i)
+        )
 
     def apply_to_coordinates(self, coords):
         """Transform sigma-coordinates into sigma'-coordinates."""
@@ -576,6 +643,19 @@ class LiftingMatrix:
         (finite, since eps is nilpotent).
         """
         return change_of_lifting_matrix(self.quotient, self.sigma_prime, self.sigma, self.basis)
+
+    def orders_hold(self, probes, multipliers):
+        """Cross-check of ``orders`` on probes: the commutator test at each
+        entry's bound, and a zero test where the bound says it vanishes."""
+        for i in range(self.rank):
+            for j in range(self.rank):
+                entry, bound = self.entries[i][j], self.orders[i][j]
+                if bound is None:
+                    if not all(entry(p).is_zero_within_window() for p in probes):
+                        return False
+                elif not differential_order_bounded(entry, bound, probes, multipliers):
+                    return False
+        return True
 
     def is_unit_upper_triangular(self, probes):
         for i in range(self.rank):
@@ -632,6 +712,10 @@ def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=No
 def differential_order_bounded(op, order, probes, multipliers):
     """Commutator-filtration test: nested commutators with (order+1) multiplication
     operators annihilate the probes.  Sound on the probe set only.
+
+    It is the cross-check of the orders a ``LiftingMatrix`` derives from its
+    liftings, and the reference the tests hold those orders against; it proves
+    no bound by itself.
 
     Multiplications commute, so [..[op, a_1], ..., a_k] depends only on the
     multiset {a_1, ..., a_k} and expands by inclusion-exclusion into

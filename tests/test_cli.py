@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tlfields import cli
 from tlfields.cli import main, parse_expression, parse_form, parse_series, parse_rational_form
 from tlfields.scalars import BaseField, make_extension
 from tlfields.tlf import TlfDescriptor
@@ -180,6 +181,27 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--twist-depth" in captured.err
+
+    def test_negative_exponent_rejected_at_parsing(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["lift-matrix", "--n", "2", "--exponent", "-1"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--exponent" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, rank",
+        [(["--char", char, "--exponent", str(l)], l + 1) for char in ("0", "5") for l in range(4)]
+        + [(["--twist-depth", "0"], 3)],
+        ids=[f"char{char}-l{l}" for char in ("0", "5") for l in range(4)] + ["twist-depth-0"],
+    )
+    def test_lift_matrix_output_pinned(self, capsys, argv, rank):
+        # the output the probe-only r - 1 certificate printed, before the
+        # orders were derived from the liftings
+        assert run_cli(capsys, "lift-matrix", "--n", "2", *argv) == (0, (
+            '{"neumann_identity":true,"orders_certified":true,'
+            f'"rank":{rank},"unit_triangular":true}}'))
 
     @pytest.mark.parametrize("depth", ["0", "-1", "1"])
     def test_ladder_depth_below_one_rejected_at_parsing(self, capsys, depth):
@@ -362,3 +384,74 @@ class TestCommands:
             capsys, "residue", "--n", "1", "--ext-poly", "1,0,1", "(1+x) * dlog(t1)"
         )
         assert json.loads(out)["value"] == "2"
+
+
+# successive calls with different subcommands and flags: per-subcommand --n
+# defaults, the --window default, --pretty followed by a call without it, the
+# negative-polynomial join and its ambiguous abbreviation, parse errors
+REUSE_SEQUENCE = [
+    ["residue", "--n", "2", "--window", "4", "--pretty", "dlog(t1,t2)"],
+    ["residue", "t1^-1*d(t1)"],
+    ["counterexample"],
+    ["tate-residue", "--char", "5", "t1^-2", "t1^2"],
+    ["residue", "--n", "2", "--ext-poly", "-2,0,0,1", "dlog(t1,t2)"],
+    ["residue", "--n", "2", "--e", "-2,0,1", "dlog(t1,t2)"],
+    ["lift-matrix", "--e", "-2,0,1"],
+    ["lift-matrix", "--char", "5", "--exponent", "1"],
+    ["decompose", "--level", "1"],
+    ["residue", "--window", "0", "t1^-1*d(t1)"],
+    ["trace-form", "--n", "1", "--upstairs-poly", "-2,0,1", "t1^-1*d(t1)"],
+    ["certify", "--n", "1", "--target", "1,x", "mul(1)"],
+    ["certify", "--n", "1", "mul(t1^-1)"],
+    ["global-sum", "1/(t*(t-1)) dt"],
+    ["residue", "--n", "1", "t1 + + 1"],
+    ["trace-op", "--n", "1", "mul(0)"],
+]
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one main call, parse errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main parses with one parser built at import; a call must not see what
+    an earlier call parsed."""
+
+    def test_successive_calls_print_what_separate_calls_print(self, capsys, monkeypatch):
+        shared = [_call(capsys, argv) for argv in REUSE_SEQUENCE]
+        separate = []
+        for argv in REUSE_SEQUENCE:
+            monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+            separate.append(_call(capsys, argv))
+        assert shared == separate
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0, 2, 0]
+        assert shared[0][1].startswith('{\n  "value": "1",\n  "window_used": 4\n}')
+        assert shared[1][1] == '{"value":"1","window_used":8}\n'
+
+    def test_successive_parses_match_fresh_parsers(self):
+        # per-subcommand defaults (--n 1 or 2, --window 8, --pretty off) and
+        # the command each call dispatches to
+        for argv in REUSE_SEQUENCE:
+            joined = cli._join_negative_polys(argv)
+            try:
+                fresh = vars(cli.build_parser().parse_args(joined))
+            except SystemExit:
+                continue
+            assert vars(cli.PARSER.parse_args(joined)) == fresh
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["residue", "--window", "0", "t1^-1*d(t1)"], ["residue", "--n", "1", "t1 + + 1"],
+         ["lift-matrix", "--bogus"]],
+        ids=["argparse", "expression", "unknown-flag"],
+    )
+    def test_parse_error_then_valid_call(self, capsys, bad):
+        assert _call(capsys, bad)[0] == 2
+        assert run_cli(capsys, "residue", "--n", "2", "dlog(t1,t2)") == (
+            0, '{"value":"1","window_used":8}')

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlfields.errors import CharacteristicObstruction, LocalFieldError, NotUniformizers
 from tlfields.scalars import make_extension
@@ -387,3 +390,87 @@ class TestChangeOfLiftingRewrite:
                             total = total + second[k][j](first[i][k](p))
                         expected = p if i == j else Series.zero(Q, 1)
                         assert (total - expected).is_zero_within_window(), (i, j, p)
+
+
+FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1])]
+PROPERTY = settings(max_examples=24, deadline=None, derandomize=True, database=None)
+
+
+def _nonzero(field):
+    return st.sampled_from([-2, -1, 1, 2]).map(field.from_int)
+
+
+@st.composite
+def _filtered_case(draw):
+    """A random filtered basis of O_1/m^(l+1) at n = 2, l = 1 or 2: m_i is
+    u t1^i t2^a with a unit u, plus up to two terms of higher t1-degree; and a
+    twisted lifting with a random coefficient c in k_1, on either side."""
+    field = draw(st.sampled_from(FIELDS))
+    K = TlfDescriptor(2, field)
+    l = draw(st.integers(1, 2))
+    basis = []
+    for i in range(l + 1):
+        terms = {(i, draw(st.integers(-1, 1))): draw(_nonzero(field))}
+        higher = st.tuples(st.integers(i + 1, l + 1), st.integers(-1, 1))
+        terms.update(draw(st.dictionaries(higher, _nonzero(field), max_size=2)))
+        basis.append(K.from_terms(terms))
+    c = Series.from_terms(field, 1, draw(st.dictionaries(
+        st.tuples(st.integers(-1, 1)), _nonzero(field), min_size=1, max_size=2)))
+    twist = LiftingSpec(1, "twisted", axis=2, c=c, depth=draw(st.integers(1, 2)))
+    pair = (LiftingSpec(1), twist) if draw(st.booleans()) else (twist, LiftingSpec(1))
+    return ArtinianQuotient(K, l), pair, basis
+
+
+def _probes_and_mults(field):
+    t2, one = Series.generator(field, 1, 1), Series.one(field, 1)
+    return [one, t2, t2 * t2, t2.inv()], [t2, t2 * t2, one + t2]
+
+
+class TestDerivedOrders:
+    """The orders a LiftingMatrix derives from its liftings, held against the
+    probe-based commutator test."""
+
+    @PROPERTY
+    @given(_filtered_case())
+    def test_derived_orders_pass_the_commutator_test(self, case):
+        A, (sigma, sigma_prime), basis = case
+        mat = change_of_lifting_matrix(A, sigma, sigma_prime, basis=basis)
+        probes, mults = _probes_and_mults(A.descriptor.field)
+        for i in range(mat.rank):
+            for j in range(mat.rank):
+                if j < i:
+                    assert mat.orders[i][j] is None
+                else:
+                    assert 0 <= mat.orders[i][j] <= j - i
+        assert mat.unit_triangular
+        assert mat.is_unit_upper_triangular(probes)
+        assert mat.orders_hold(probes, mults)
+
+    @pytest.mark.parametrize("c", [1, -2])
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F5"])
+    def test_bound_one_below_the_closed_form_fails(self, field, l, c):
+        # for the standard basis and a constant twist coefficient c,
+        # gamma_{i,i+n} = (-D)^n / n! with D = c d/dt2, of order exactly n
+        A = ArtinianQuotient(TlfDescriptor(2, field), l)
+        twist = LiftingSpec(1, "twisted", axis=2, c=Series.constant(field, 1, field.from_int(c)),
+                            depth=2)
+        mat = change_of_lifting_matrix(A, LiftingSpec(1), twist)
+        probes, mults = _probes_and_mults(field)
+        for i in range(mat.rank):
+            for j in range(i + 1, mat.rank):
+                n = j - i
+                entry = mat.entries[i][j]
+                for p in probes:
+                    closed = p
+                    for _ in range(n):
+                        closed = -(closed.derivative(1).scalar_mul(field.from_int(c)))
+                    closed = closed.scalar_mul(field.from_fraction(Fraction(1, factorial(n))))
+                    assert agree_within_window(entry(p) - closed, Series.zero(field, 1))
+                assert mat.orders[i][j] == n
+                assert not differential_order_bounded(entry, n - 1, probes, mults)
+                right = mat.orders[i][j]
+                mat.orders[i][j] = n - 1
+                assert not mat.orders_hold(probes, mults)
+                mat.orders[i][j] = right
+        assert mat.orders_hold(probes, mults)
