@@ -34,7 +34,7 @@ from .errors import (
     NotCertifiable,
     NotReduced,
 )
-from .scalars import ext_trace
+from .scalars import ext_trace, mat_mul, mat_vec, row_reduce
 from .series import Series, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
 
@@ -220,7 +220,7 @@ class MulBy(OperatorExpr):
                     fu = self.f.coefficient_level1(q_out - q_in)
                 except InsufficientPrecision:
                     raise NotCertifiable(
-                        "multiplier window too small for the quotient pushdown"
+                        f"{self!r}: multiplier window too small for the quotient pushdown"
                     )
                 if not fu.is_exact_zero():
                     out[(q_out, q_in)] = MulBy(sub_desc, fu)
@@ -324,7 +324,9 @@ class DiffOp(OperatorExpr):
                     try:
                         cu = c.coefficient_level1(q_out - mid)
                     except InsufficientPrecision:
-                        raise NotCertifiable("coefficient window too small for pushdown")
+                        raise NotCertifiable(
+                            f"{self!r}: coefficient window too small for pushdown"
+                        )
                     if cu.is_exact_zero():
                         continue
                     entry = MulBy(sub_desc, cu)
@@ -426,7 +428,7 @@ class LevelProjection(OperatorExpr):
 
     def pushdown(self, lo, hi):
         if not self.sigma.sigma1.is_standard():
-            raise NotCertifiable("pushdown under a twisted level-1 lifting")
+            raise NotCertifiable(f"{self!r}: pushdown under a twisted level-1 lifting")
         sub_desc = self.descriptor.residue_descriptor()
         if self.level == 1:
             one = MulBy(sub_desc, sub_desc.one())
@@ -483,7 +485,7 @@ class CoeffLift(OperatorExpr):
 
     def pushdown(self, lo, hi):
         if not self.sigma.sigma1.is_standard():
-            raise NotCertifiable("pushdown under a twisted level-1 lifting")
+            raise NotCertifiable(f"{self!r}: pushdown under a twisted level-1 lifting")
         return {(q, q): self.inner for q in range(lo, hi)}
 
     def rebind(self, system):
@@ -949,7 +951,7 @@ def certify_membership(phi, target):
         if j == 1:
             lb = phi.image_lb(None)
             if lb is None:
-                raise NotCertifiable("image admits no level-1 lattice bound")
+                raise NotCertifiable(f"{phi!r}: image admits no level-1 lattice bound")
             return Certificate(phi, (1, 1), band=band, witness_shift=lb)
         return Certificate(phi, (1, 2), band=band, killed_shift=_killed_shift(phi))
     return _certify_rung(phi, (i, j), band, pushdown_rung(phi))
@@ -995,7 +997,7 @@ def _killed_shift(phi):
     for tail, total in groups.items():
         if not total.is_exact_zero():
             raise NotCertifiable(
-                "operator does not provably annihilate any standard lattice"
+                f"{phi!r}: operator does not provably annihilate any standard lattice"
             )
     return m
 
@@ -1051,42 +1053,6 @@ def cubical_projectors(descriptor, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(rows):
-    """Reduced row echelon form over a field, with the pivot column of each row."""
-    rows = [r[:] for r in rows]
-    pivots = []
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        rank = len(pivots)
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def _mat_mul_scalar(field, A, B):
-    n = len(A)
-    return [
-        [
-            sum((A[i][k] * B[k][j] for k in range(n)), field.zero)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def finite_potent_trace(phi, certificates=None, max_power=None, window=None):
     """Trace of a finite-potent operator carrying the full certificate set.
 
@@ -1133,11 +1099,11 @@ def finite_potent_trace(phi, certificates=None, max_power=None, window=None):
     # rank stabilization
     limit = max_power or dim + 1
     power = matrix
-    prev_rank = len(_row_reduce(power)[1])
+    prev_rank = len(row_reduce(power, field.zero, field.one)[1])
     q = 1
     while q <= limit:
-        nxt = _mat_mul_scalar(field, power, matrix)
-        rank = len(_row_reduce(nxt)[1])
+        nxt = mat_mul(power, matrix)
+        rank = len(row_reduce(nxt, field.zero, field.one)[1])
         if rank == prev_rank:
             break
         power, prev_rank, q = nxt, rank, q + 1
@@ -1156,17 +1122,14 @@ def _trace_on_invariant_subspace(field, matrix, stable_power, dim):
     The pivot columns of phi^q form B; im(phi^q) is phi-invariant, so the
     reduced augmented matrix [B | M B] holds T below the identity block.
     """
-    _, pivots = _row_reduce(stable_power)
+    _, pivots, _ = row_reduce(stable_power, field.zero, field.one)
     r = len(pivots)
     if r == 0:
         return field.zero
     basis = [[stable_power[i][j] for i in range(dim)] for j in pivots]
-    images = [
-        [sum((matrix[i][k] * col[k] for k in range(dim)), field.zero) for i in range(dim)]
-        for col in basis
-    ]
+    images = [mat_vec(matrix, col) for col in basis]
     aug = [[col[i] for col in basis] + [im[i] for im in images] for i in range(dim)]
-    reduced, _ = _row_reduce(aug)
+    reduced, _, _ = row_reduce(aug, field.zero, field.one)
     return sum((reduced[jj][r + jj] for jj in range(r)), field.zero)
 
 

@@ -711,65 +711,66 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p, n_default=None):
-        p.add_argument("--char", type=int, default=0, help="characteristic (0 or a prime)")
-        p.add_argument("--ext-poly", default=None,
-                       help="comma-separated monic minimal polynomial of the last residue field")
-        p.add_argument("--n", type=int, default=n_default, help="dimension of the tower")
-        p.add_argument("--window", type=_int_at_least(1), default=8,
-                       help="precision window per level (an integer >= 1)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--pretty", action="store_true", help="indented JSON output")
+    # the shared flags; each command registers only those its cmd_* reads,
+    # so argparse rejects the rest
+    shared = {
+        "--char": dict(type=int, default=0, help="characteristic (0 or a prime)"),
+        "--ext-poly": dict(default=None,
+                           help="comma-separated monic minimal polynomial of the last residue field"),
+        "--n": dict(type=int, default=None, help="dimension of the tower"),
+        "--window": dict(type=_int_at_least(1), default=8,
+                         help="precision window per level (an integer >= 1)"),
+        "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "--pretty": dict(action="store_true", help="indented JSON output"),
+    }
+    # what a command on a tower K reads
+    tower = ("--char", "--ext-poly", "--n", "--window", "--pretty")
+
+    def command(name, summary, flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--json", dest="json_out", action="store_true",
                        help="compact JSON output (default)")
+        return p
 
-    p = sub.add_parser("residue", help="residue of a top-degree form")
-    common(p)
+    p = command("residue", "residue of a top-degree form", tower)
     p.add_argument("expression")
 
-    p = sub.add_parser("tate-residue", help="commutator-trace residue at n=1")
-    common(p, n_default=1)
+    p = command("tate-residue", "commutator-trace residue at n=1", tower)
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--shift", type=int, default=0, help="lattice shift for the projection")
 
-    p = sub.add_parser("trace-form", help="trace a form along a supported extension")
-    common(p)
+    p = command("trace-form", "trace a form along a supported extension", tower)
     p.add_argument("expression")
     p.add_argument("--kummer", type=int, default=None, help="tame Kummer index")
     p.add_argument("--upstairs-poly", default=None,
                    help="minimal polynomial of the unramified extension")
 
-    p = sub.add_parser("counterexample", help="the two-topology residue counterexample")
-    common(p, n_default=2)
+    command("counterexample", "the two-topology residue counterexample", ("--window", "--pretty"))
 
-    p = sub.add_parser("certify", help="certify operator membership")
-    common(p)
+    p = command("certify", "certify operator membership", tower)
     p.add_argument("operator")
     p.add_argument("--target", default="E", help="'E' or 'i,j'")
 
-    p = sub.add_parser("decompose", help="identity decomposition at a level")
-    common(p, n_default=2)
+    p = command("decompose", "identity decomposition at a level", tower + ("--seed",))
     p.add_argument("--level", type=int, default=1)
 
-    p = sub.add_parser("trace-op", help="finite-potent trace of an operator")
-    common(p)
+    p = command("trace-op", "finite-potent trace of an operator", tower)
     p.add_argument("operator")
 
-    p = sub.add_parser("global-sum", help="sum of residues of a rational form on P^1")
-    common(p)
+    p = command("global-sum", "sum of residues of a rational form on P^1", ("--char", "--pretty"))
     p.add_argument("form", help='e.g. "1/(t*(t-1)) dt"')
 
-    p = sub.add_parser("lift-matrix", help="change-of-lifting matrix of an artinian quotient")
-    common(p, n_default=2)
+    p = command("lift-matrix", "change-of-lifting matrix of an artinian quotient", tower)
     p.add_argument("--exponent", type=_int_at_least(0), default=2,
                    help="l in O_1/m^(l+1) (an integer >= 0)")
     p.add_argument("--twist-axis", type=int, default=2)
     p.add_argument("--twist-depth", type=_int_at_least(0), default=2,
                    help="truncation depth of the twisted lifting (an integer >= 0)")
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p)
+    command("selftest", "run the acceptance suite", ("--seed",))
 
     return parser
 

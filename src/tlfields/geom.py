@@ -9,7 +9,8 @@ gives exactly zero.
 """
 
 from .errors import FactorizationOutOfScope, IrreducibilityCheckInfeasible, LocalFieldError
-from .scalars import ExtField, _least_factor, _poly_divmod, _poly_ext_gcd, _poly_trim
+from .scalars import (ExtField, _least_factor, _poly_derivative, _poly_divmod, _poly_ext_gcd,
+                      _poly_str, _poly_trim)
 from .series import Series
 from .forms import SeparatedForm
 from .residue import res_tlf
@@ -55,20 +56,7 @@ class ClosedPoint:
     def __repr__(self):
         if self.is_infinity:
             return "infinity"
-        return _poly_str(self.min_poly)
-
-
-def _poly_str(poly):
-    parts = []
-    for i, c in enumerate(poly):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            var = "t" if i == 1 else f"t^{i}"
-            parts.append(var if c == 1 else f"{c}*{var}")
-    return " + ".join(parts) if parts else "0"
+        return _poly_str(self.min_poly, "t")
 
 
 class RationalForm:
@@ -92,17 +80,13 @@ class RationalForm:
         self.den = tuple(den)
 
     def __repr__(self):
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)}) dt"
+        return f"({_poly_str(self.num, 't')})/({_poly_str(self.den, 't')}) dt"
 
 
 def _coerce_poly(base, poly):
     return _poly_trim(
         [base.from_int(c) if base.char else base.from_fraction(c) for c in poly]
     )
-
-
-def _poly_derivative(base, f):
-    return _poly_trim([base.mul(base.from_int(i), c) for i, c in enumerate(f)][1:])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import (
     NotContained,
     SingularMatrix,
 )
+from .scalars import mat_mul, mat_vec, row_reduce
 from .series import Series
 from .tlf import sigma_expand
 
@@ -95,62 +96,21 @@ def mat_identity(descriptor, r):
     ]
 
 
-def mat_mul(A, B):
-    r, m, c = len(A), len(B), len(B[0])
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            acc = None
-            for k in range(m):
-                t = A[i][k] * B[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    return [_dot(row, v) for row in A]
-
-
-def _dot(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def mat_inv(A, descriptor, window=None):
-    """Inverse by Gaussian elimination with t_1-valuation pivoting."""
+    """Inverse by Gauss-Jordan elimination on [A | I] with t_1-valuation pivots."""
     r = len(A)
-    work = [row[:] for row in A]
-    inv = mat_identity(descriptor, r)
-    for col in range(r):
-        picked = _pick_pivot((row, work[row][col]) for row in range(col, r))
+
+    def pick(entries):
+        picked = _pick_pivot(entries)
         if picked is None:
             raise SingularMatrix("matrix not invertible over K")
-        _, pivot_row = picked
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p_inv = work[col][col].inv(window)
-        for j in range(r):
-            work[col][j] = p_inv * work[col][j]
-            inv[col][j] = p_inv * inv[col][j]
-        work[col][col] = descriptor.one()
-        for row in range(r):
-            if row == col:
-                continue
-            f = work[row][col]
-            if f.is_exact_zero():
-                continue
-            for j in range(r):
-                work[row][j] = work[row][j] - f * work[col][j]
-                inv[row][j] = inv[row][j] - f * inv[col][j]
-            work[row][col] = descriptor.zero()
-    return inv
+        return picked[1]
+
+    rows = [a + e for a, e in zip(A, mat_identity(descriptor, r))]
+    reduced, _, _ = row_reduce(
+        rows, descriptor.zero(), descriptor.one(), pick, lambda p: p.inv(window)
+    )
+    return [row[r:] for row in reduced]
 
 
 # -- normal forms -----------------------------------------------------------

@@ -20,6 +20,10 @@ inside the loop, its d-1 high coordinates are folded into the low d through
 the table, and each of the d results is reduced once: ``% p`` over F_p, one
 ``Fraction`` normalisation over QQ.  ``ExtField.element`` reduces over-long
 coordinate lists by the same rule.
+
+The module also holds the polynomial helpers over a BaseField and the one
+Gauss-Jordan elimination over a field, ``row_reduce``, which serves the norm,
+the finite-potent trace in bt_ops and the lattice inverse in lattices.
 """
 
 from fractions import Fraction
@@ -183,6 +187,24 @@ def _poly_eval(k, f, x):
     for c in reversed(f):
         acc = k.add(k.mul(acc, x), c)
     return acc
+
+
+def _poly_derivative(k, f):
+    return _poly_trim([k.mul(k.from_int(i), c) for i, c in enumerate(f)][1:])
+
+
+def _poly_str(f, var):
+    """f as 'c0 + c1*var + var^2 + ...', zero terms left out; '0' for f = 0."""
+    parts = []
+    for i, c in enumerate(f):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            parts.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(parts) if parts else "0"
 
 
 def _poly_ext_gcd(k, f, g):
@@ -399,20 +421,7 @@ class ExtField:
     def __repr__(self):
         if self.degree == 1:
             return repr(self.base)
-        return f"{self.base!r}[x]/({self._poly_str()})"
-
-    def _poly_str(self):
-        parts = []
-        for i, c in enumerate(self.min_poly):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(parts)
+        return f"{self.base!r}[x]/({_poly_str(self.min_poly, 'x')})"
 
     @property
     def zero(self):
@@ -665,16 +674,7 @@ class ExtScalar:
     def __repr__(self):
         if self.field.degree == 1:
             return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts) if parts else "0"
+        return _poly_str(self.coeffs, "x")
 
     def mult_matrix(self):
         """Matrix of multiplication by self in the power basis (rows over the base)."""
@@ -697,7 +697,9 @@ class ExtScalar:
 
     def norm(self):
         """Determinant of the multiplication matrix; the base-field norm n_{k'/k}."""
-        return _det(self.field.base, self.mult_matrix())
+        field = self.field
+        rows = [[field.from_base(c) for c in row] for row in self.mult_matrix()]
+        return row_reduce(rows, field.zero, field.one)[2].coeffs[0]
 
 
 def _clear_denominators(values):
@@ -707,31 +709,69 @@ def _clear_denominators(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _det(k, m):
-    """Exact determinant by fraction-free-enough Gaussian elimination over a field."""
-    n = len(m)
-    m = [row[:] for row in m]
-    det = k.one
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return k.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = k.neg(det)
-        det = k.mul(det, m[col][col])
-        inv_p = k.inv(m[col][col])
-        for row in range(col + 1, n):
-            if m[row][col] == 0:
-                continue
-            factor = k.mul(m[row][col], inv_p)
-            for j in range(col, n):
-                m[row][j] = k.sub(m[row][j], k.mul(factor, m[col][j]))
-    return det
+# ---------------------------------------------------------------------------
+# matrices over a field (lists of rows): ExtScalar, or Series over K
+# ---------------------------------------------------------------------------
+
+
+def _dot(row, v):
+    acc = None
+    for a, b in zip(row, v):
+        t = a * b
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def mat_vec(A, v):
+    return [_dot(row, v) for row in A]
+
+
+def mat_mul(A, B):
+    cols = list(zip(*B))
+    return [[_dot(row, col) for col in cols] for row in A]
+
+
+def row_reduce(rows, zero, one, pick=None, inv=None):
+    """Gauss-Jordan elimination over a field whose exact zero and one are
+    given.  Returns (reduced, pivots, det): the reduced row echelon form, the
+    pivot column of each of its leading rows, and the signed product of the
+    pivots, which for a square matrix is its determinant (zero once some
+    column has no pivot).  Each pivot becomes exactly one and each cleared
+    entry exactly zero; elimination stops once every row has a pivot.
+
+    pick(entries) chooses the pivot row of a column from the (row, entry)
+    pairs below the pivots found so far, None for no pivot; by default the
+    first nonzero entry.  inv(p) inverts a pivot; by default p.inv().
+    """
+    pick = pick or (lambda entries: next((r for r, e in entries if e != zero), None))
+    inv = inv or (lambda p: p.inv())
+    rows = [r[:] for r in rows]
+    pivots = []
+    det = one
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        at = pick((r, rows[r][col]) for r in range(rank, len(rows)))
+        if at is None:
+            det = zero
+            continue
+        if at != rank:
+            rows[rank], rows[at] = rows[at], rows[rank]
+            det = -det
+        p = rows[rank][col]
+        det = det * p
+        p_inv = inv(p)
+        row = [p_inv * e for e in rows[rank]]
+        row[col] = one
+        rows[rank] = row
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and f != zero:
+                rows[r] = [a - f * b for a, b in zip(rows[r], row)]
+                rows[r][col] = zero
+        pivots.append(col)
+    return rows, pivots, det
 
 
 def make_extension(base, min_poly):

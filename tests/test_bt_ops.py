@@ -459,6 +459,17 @@ class TestLiftingIndependence:
         report2 = verify_lifting_independence(mult, sigma, twisted, [], probe_count=3)
         assert report2["induced_maps_agree"] is True
 
+    def test_twisted_pushdown_refusal_names_the_node(self, K2):
+        sigma = LiftingSystem.standard(K2)
+        twisted = LiftingSystem.twisted_at(K2, 1, 2, depth=2)
+        K1 = K2.residue_descriptor()
+        projection = LevelProjection(K2, 2, ">=", 0, sigma)
+        for phi in (projection, CoeffLift(K2, MulBy(K1, K1.one()), sigma)):
+            report = verify_lifting_independence(phi, sigma, twisted, [(2, 1)], probe_count=2)
+            assert report["targets"][(2, 1)]["sigma_prime"] == (
+                f"not-certifiable: {phi!r}: pushdown under a twisted level-1 lifting"
+            )
+
 
 class TestLemma65Split:
     def test_ring_splits_into_ideals(self, K2):
@@ -591,3 +602,13 @@ class TestPushdownRung:
         for op in [MulBy(K2, inexact), DiffOp(K2, [(inexact, (1, 0))])]:
             with pytest.raises(NotCertifiable, match="known only below t_1\\^4"):
                 certify_membership(op, (2, 1))
+
+    def test_pushdown_window_refusals_name_the_node(self, K2):
+        # pushdown_rung refuses these nodes first; on a rung given directly,
+        # the pushdown itself names them
+        inexact = (K2.one() - K2.gen(1)).inv(4)
+        for op in [MulBy(K2, inexact), DiffOp(K2, [(inexact, (1, 0))])]:
+            with pytest.raises(NotCertifiable) as ei:
+                op.pushdown(0, 8)
+            assert ei.value.reason.startswith(f"{op!r}: ")
+            assert "window too small" in ei.value.reason

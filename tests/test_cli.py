@@ -216,6 +216,36 @@ class TestCommands:
         assert "unrecognized arguments: --ladder-depth" in captured.err
 
     @pytest.mark.parametrize(
+        "target, reason",
+        [("1,1", "mul(1): image admits no level-1 lattice bound"),
+         ("1,2", "mul(1): operator does not provably annihilate any standard lattice")],
+    )
+    def test_level1_refusal_names_the_operator(self, capsys, target, reason):
+        code, out = run_cli(capsys, "certify", "--n", "1", "--target", target, "mul(1)")
+        assert code == 4
+        assert json.loads(out) == {"certified": False, "reason": reason}
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["--char", "0", "proj1(>=0)*mul(1+t1)*proj1(<3)*proj1(>=0)"], "3"),
+            (["--char", "0", "proj1(>=0)*mul(t1^-1+2+t1)*proj1(<3)"], "6"),
+            (["--char", "0", "proj1(>=-1)*mul(1/2+t1)*proj1(<3)*mul(1-t1)"], "2"),
+            (["--char", "0", "proj1(>=0)*mul(t1)*proj1(<3)"], "0"),
+            (["--char", "0", "--ext-poly", "1,0,1", "proj1(>=0)*mul(1+x)*proj1(<3)"], "6"),
+            (["--char", "0", "--n", "2", "proj1(>=0)*proj2(>=0)*mul(1+t1+t2)*proj1(<2)*proj2(<2)"],
+             "4"),
+            (["--char", "5", "proj1(>=0)*mul(1+t1)*proj1(<3)*proj1(>=0)"], "3"),
+            (["--char", "5", "proj1(>=0)*mul(t1^-1+2+t1)*proj1(<3)"], "1"),
+            (["--char", "5", "2*proj1(>=0)*proj1(<5)"], "0"),
+            (["--char", "5", "--n", "2",
+              "proj1(>=0)*proj2(>=0)*mul(3+t1*t2^-1)*proj1(<2)*proj2(<3)"], "3"),
+        ],
+    )
+    def test_trace_op_output_pinned(self, capsys, argv, value):
+        assert run_cli(capsys, "trace-op", *argv) == (0, f'{{"value":"{value}"}}')
+
+    @pytest.mark.parametrize(
         "target, operator",
         [
             ("2,1", "mul(t1)"),
@@ -386,6 +416,36 @@ class TestCommands:
         assert json.loads(out)["value"] == "2"
 
 
+# every flag a subcommand does not read, with a value where it takes one,
+# and the positional arguments of a valid call
+FLAG_VALUES = {"--char": ["5"], "--ext-poly": ["1,0,1"], "--n": ["2"], "--window": ["4"],
+               "--seed": ["3"], "--pretty": []}
+UNREAD_FLAGS = [
+    ("residue", ["t1^-1*d(t1)"], ["--seed"]),
+    ("tate-residue", ["t1^-1", "t1"], ["--seed"]),
+    ("trace-form", ["--kummer", "2", "t1^-1*d(t1)"], ["--seed"]),
+    ("counterexample", [], ["--char", "--ext-poly", "--n", "--seed"]),
+    ("certify", ["mul(1)"], ["--seed"]),
+    ("trace-op", ["mul(0)"], ["--seed"]),
+    ("global-sum", ["1/(t*(t-1)) dt"], ["--ext-poly", "--n", "--window", "--seed"]),
+    ("lift-matrix", [], ["--seed"]),
+    ("selftest", [], ["--char", "--ext-poly", "--n", "--window", "--pretty"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, positional, flag",
+    [(c, p, f) for c, p, flags in UNREAD_FLAGS for f in flags],
+    ids=[f"{c} {f}" for c, _, flags in UNREAD_FLAGS for f in flags],
+)
+def test_flag_the_command_does_not_read_is_rejected(capsys, command, positional, flag):
+    # a flag that would be silently ignored is no option of the command
+    cli.PARSER.parse_args([command, *positional])
+    code, out, err = _call(capsys, [command, flag, *FLAG_VALUES[flag], *positional])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
 # successive calls with different subcommands and flags: per-subcommand --n
 # defaults, the --window default, --pretty followed by a call without it, the
 # negative-polynomial join and its ambiguous abbreviation, parse errors
@@ -435,8 +495,8 @@ class TestParserReuse:
         assert shared[1][1] == '{"value":"1","window_used":8}\n'
 
     def test_successive_parses_match_fresh_parsers(self):
-        # per-subcommand defaults (--n 1 or 2, --window 8, --pretty off) and
-        # the command each call dispatches to
+        # the defaults (--window 8, --pretty off) and the command each call
+        # dispatches to
         for argv in REUSE_SEQUENCE:
             joined = cli._join_negative_polys(argv)
             try:

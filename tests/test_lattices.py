@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tlfields.errors import NoCertificate, NotContained, SingularMatrix
+from tlfields.errors import InsufficientPrecision, NoCertificate, NotContained, SingularMatrix
 from tlfields.scalars import make_extension
 from tlfields.series import Series, agree_within_window
 from tlfields.lattices import (
@@ -319,6 +319,33 @@ class TestMatrixHelpers:
                 for j in range(2):
                     target = K2.one() if i == j else K2.zero()
                     assert agree_within_window(prod[i][j], target)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("char, poly", [(0, [0, 1]), (5, [0, 1]), (5, [-2, 0, 1])])
+    def test_inverse_is_exact_within_the_window(self, n, char, poly):
+        K = TlfDescriptor(n, make_extension(char, poly))
+        rng = random.Random(11 * n + char)
+        inverted = 0
+        for size in (1, 2, 3):
+            for _ in range(4):
+                A = [[K.random_element(rng, max_terms=2, exp_span=2) for _ in range(size)]
+                     for _ in range(size)]
+                try:
+                    inv = mat_inv(A, K, window=6)
+                except (SingularMatrix, InsufficientPrecision):
+                    continue
+                inverted += 1
+                prod = mat_mul(A, inv)
+                for i in range(size):
+                    for j in range(size):
+                        assert agree_within_window(prod[i][j], K.one() if i == j else K.zero())
+        assert inverted >= 6
+
+    def test_singular_matrix_raises(self, K2):
+        t1, one, zero = K2.gen(1), K2.one(), K2.zero()
+        for A in ([[zero]], [[one, t1], [t1, t1 * t1]], [[zero, one], [zero, t1]]):
+            with pytest.raises(SingularMatrix):
+                mat_inv(A, K2)
 
     def test_level1_valuation(self, K2):
         assert level1_valuation(K2.zero()) is None

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from tlfields.scalars import (
     ext_norm,
     ext_trace,
     make_extension,
+    row_reduce,
 )
 
 
@@ -339,3 +341,115 @@ class TestExtensionAddSub:
         ]
         assert got == want
         assert [_types(c) for c in got] == [_types(c) for c in want]
+
+
+# -- the one elimination over a field and the norm it computes ---------------
+
+ELIM_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1]), FOLD_FIELDS[0]]
+
+
+def _small(field):
+    """Elements with coordinates in -1..1, so that singular matrices are common."""
+    return st.tuples(*[st.integers(-1, 1)] * field.degree).map(field.element)
+
+
+@st.composite
+def _matrix(draw):
+    field = draw(st.sampled_from(ELIM_FIELDS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = _small(field)
+    return field, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _leibniz(field, m):
+    """Determinant as the signed sum over permutations."""
+    total = field.zero
+    for perm in permutations(range(len(m))):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _rank(field, m):
+    """The largest size of a nonzero minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if _leibniz(field, [[m[i][j] for j in cols] for i in rows]) != field.zero:
+                    return k
+    return 0
+
+
+class TestRowReduce:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_matrix())
+    def test_reduced_echelon_form_of_the_same_row_space(self, case):
+        field, m = case
+        before = [row[:] for row in m]
+        reduced, pivots, det = row_reduce(m, field.zero, field.one)
+        assert m == before  # the input is left as it was
+        assert len(reduced) == len(m) and all(len(row) == len(m[0]) for row in reduced)
+        assert pivots == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            assert reduced[i][c] == field.one
+            assert all(e == field.zero for e in reduced[i][:c])
+            assert all(reduced[j][c] == field.zero for j in range(len(m)) if j != i)
+        assert all(e == field.zero for row in reduced[len(pivots):] for e in row)
+        # every input row is the combination of reduced rows its pivot entries
+        # give, and the reduced rows span no more than the input rows do
+        for row in m:
+            combo = [field.zero] * len(row)
+            for i, c in enumerate(pivots):
+                combo = [a + row[c] * b for a, b in zip(combo, reduced[i])]
+            assert combo == row
+        assert len(pivots) == _rank(field, m)
+        if len(m) == len(m[0]):
+            assert det == _leibniz(field, m)
+
+    def test_stops_once_every_row_has_a_pivot(self):
+        field = ELIM_FIELDS[0]
+        asked = []
+
+        def pick(entries):
+            entries = list(entries)
+            asked.append(len(entries))
+            return entries[0][0]
+
+        one, two = field.one, field.from_int(2)
+        _, pivots, det = row_reduce([[two, one, one]], field.zero, field.one, pick)
+        assert asked == [1] and pivots == [0] and det == two
+
+
+NORM_FIELDS = [
+    make_extension(5, [-3, 0, 1]),  # F5[x]/(x^2 - 3)
+    make_extension(2, [1, 1, 0, 1]),  # F2[x]/(x^3 + x + 1)
+    make_extension(0, [1, 0, 1]),  # Q(i)
+    make_extension(0, [-2, 0, 0, 1]),  # Q(cbrt 2)
+    make_extension(0, [2, 0, 0, 0, 1]),  # Q[x]/(x^4 + 2)
+]
+
+
+class TestNorm:
+    @PROPERTY
+    @given(st.sampled_from(NORM_FIELDS).flatmap(lambda f: st.tuples(
+        st.just(f), *[st.tuples(*[_raw(f)] * f.degree).map(lambda c, f=f: ExtScalar(f, c))] * 2)))
+    def test_multiplicative(self, case):
+        field, a, b = case
+        assert ext_norm(a * b) == field.base.mul(ext_norm(a), ext_norm(b))
+
+    @pytest.mark.parametrize("field", NORM_FIELDS[2:], ids=repr)
+    def test_resultant_over_q_matches_sympy(self, field):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def poly(coeffs):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** e
+                       for e, c in enumerate(coeffs))
+
+        rng = random.Random(field.degree)
+        for a in [field.zero, field.one, field.gen] + [field.random_element(rng) for _ in range(20)]:
+            # m is monic, so Res(m, a) is the product of a over the roots of m
+            assert ext_norm(a) == Fraction(str(sympy.resultant(poly(field.min_poly), poly(a.coeffs), x)))
