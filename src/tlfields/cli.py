@@ -730,8 +730,6 @@ def build_parser():
         p = sub.add_parser(name, help=summary)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.add_argument("--json", dest="json_out", action="store_true",
-                       help="compact JSON output (default)")
         return p
 
     p = command("residue", "residue of a top-degree form", tower)

@@ -311,13 +311,21 @@ def _smith(descriptor, M, window):
 # -- containment and quotients ----------------------------------------------
 
 
-def contains(L, L2, window=None):
-    """True iff L contains L2: all entries of L^{-1} L2 lie in O_1."""
+def _relative(L, L2, window):
+    """L^{-1} L2: the generators of L2 in the Hermite basis of L."""
     if L.rank != L2.rank:
         raise LocalFieldError("lattices of different rank")
-    inv = mat_inv(L.hnf, L.descriptor, window)
-    M = mat_mul(inv, L2.hnf)
+    return mat_mul(mat_inv(L.hnf, L.descriptor, window), L2.hnf)
+
+
+def _integral(M):
+    """True iff every entry of M lies in O_1."""
     return all(_entry_nonnegative(e) for row in M for e in row)
+
+
+def contains(L, L2, window=None):
+    """True iff L contains L2: all entries of L^{-1} L2 lie in O_1."""
+    return _integral(_relative(L, L2, window))
 
 
 class QuotientModule:
@@ -360,11 +368,10 @@ class QuotientModule:
 
 def quotient_module(L, L2, sigma1, window=None):
     """The quotient L/L2 with its k_1(K)-structure; requires containment."""
-    if not contains(L, L2, window):
+    M = _relative(L, L2, window)
+    if not _integral(M):
         raise NotContained("second lattice not contained in the first")
     desc = L.descriptor
-    inv = mat_inv(L.hnf, desc, window)
-    M = mat_mul(inv, L2.hnf)
     gaps, P = _smith(desc, [row[:] for row in M], window)
     adapted = mat_mul(L.hnf, P)
     return QuotientModule(desc, sigma1, adapted, gaps, window)

@@ -26,6 +26,15 @@ index the shape keeps.  The result is built from shape and values through the
 constructor, whose stripping makes it canonical; the exact zeros a coefficient
 strips in the convolution add nothing there, so both routes give one series.
 
+A product with a monomial operand c * t_1^e_1 ... t_n^e_n (exact, one stored
+coefficient at every level) is a shift of every level: the other operand's
+order moves by that level's exponent, its exactness and exact-zero
+coefficients stay, and each stored scalar is multiplied by c once, or reused
+when c is one.  That is what the convolution computes: against one exact
+coefficient at e the window rules give [xs + e, xe + e) with x's exactness, on
+either side, and each x_k * c lands on an exact zero.  A monomial never packs,
+and every other product is computed as below.
+
 When both operands store at least ``_PACK_MIN_COEFFS`` level-1 coefficients
 (half as many at depth 2 and deeper) the values come from one big-int product
 (Kronecker substitution, as in D. Harvey, "Faster polynomial multiplication via
@@ -345,6 +354,10 @@ class Series:
             return Series(self.field, 0, scalar=self.scalar * other.scalar)
         if self.is_exact_zero() or other.is_exact_zero():
             return Series.zero(self.field, self.depth)
+        if _is_monomial(other):
+            return _times_monomial(self, other)
+        if _is_monomial(self):
+            return _times_monomial(other, self)
         weight = 1 if self.depth == 1 else 2
         if min(len(self.coeffs), len(other.coeffs)) * weight >= _PACK_MIN_COEFFS:
             product = _kronecker_product(self, other)
@@ -587,6 +600,38 @@ def _convolve(a, b, n, zero, is_zero):
                 break
             acc[i + j] = acc[i + j] + x * y
     return acc
+
+
+def _is_monomial(x):
+    """True when x is exact and stores exactly one coefficient at every level."""
+    while x.depth:
+        if not x.exact or len(x.coeffs) != 1:
+            return False
+        x = x.coeffs[0]
+    return True
+
+
+def _times_monomial(x, m):
+    """x * m for a monomial m = c * t_1^e_1 ... t_n^e_n and x not an exact zero:
+    the order of every level of x moves by that level's exponent, exactness and
+    exact-zero coefficients stay, and each stored scalar is multiplied by c
+    once, or reused when c is one."""
+    field, exponents = x.field, []
+    while m.depth:
+        exponents.append(m.order)
+        m = m.coeffs[0]
+    c = m.scalar
+    one = c == field.one
+
+    def shift(y, level):
+        if y.depth == 1:
+            coeffs = y.coeffs if one else [Series(field, 0, scalar=s.scalar * c) for s in y.coeffs]
+        else:
+            coeffs = [s if s.is_exact_zero() else shift(s, level + 1) for s in y.coeffs]
+        return Series(field, y.depth, order=y.order + exponents[level], coeffs=coeffs,
+                      exact=y.exact)
+
+    return shift(x, 0)
 
 
 def _sum_window(xs, xe, xx, ys, ye, yx):

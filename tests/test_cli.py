@@ -419,17 +419,17 @@ class TestCommands:
 # every flag a subcommand does not read, with a value where it takes one,
 # and the positional arguments of a valid call
 FLAG_VALUES = {"--char": ["5"], "--ext-poly": ["1,0,1"], "--n": ["2"], "--window": ["4"],
-               "--seed": ["3"], "--pretty": []}
+               "--seed": ["3"], "--pretty": [], "--json": []}
 UNREAD_FLAGS = [
-    ("residue", ["t1^-1*d(t1)"], ["--seed"]),
+    ("residue", ["t1^-1*d(t1)"], ["--seed", "--json"]),
     ("tate-residue", ["t1^-1", "t1"], ["--seed"]),
     ("trace-form", ["--kummer", "2", "t1^-1*d(t1)"], ["--seed"]),
     ("counterexample", [], ["--char", "--ext-poly", "--n", "--seed"]),
     ("certify", ["mul(1)"], ["--seed"]),
     ("trace-op", ["mul(0)"], ["--seed"]),
     ("global-sum", ["1/(t*(t-1)) dt"], ["--ext-poly", "--n", "--window", "--seed"]),
-    ("lift-matrix", [], ["--seed"]),
-    ("selftest", [], ["--char", "--ext-poly", "--n", "--window", "--pretty"]),
+    ("lift-matrix", [], ["--seed", "--json"]),
+    ("selftest", [], ["--char", "--ext-poly", "--n", "--window", "--pretty", "--json"]),
 ]
 
 

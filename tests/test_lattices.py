@@ -191,6 +191,26 @@ class TestQuotient:
         with pytest.raises(NotContained):
             quotient_module(L2, L0, sigma)
 
+    def test_one_inverse_of_the_hermite_basis(self, K2, monkeypatch):
+        # one inversion of L.hnf serves the containment test and the Smith
+        # form; the other inverts the adapted basis
+        import tlfields.lattices as lattices_module
+
+        t1, t2 = K2.gen(1), K2.gen(2)
+        L = lattice_normal_form(K2, [[t1, t2], [K2.zero(), t1 * t1 + t2]])
+        L2 = L.shift(2)
+        want_M = mat_mul(mat_inv(L.hnf, K2), L2.hnf)
+        want_gaps, want_P = lattices_module._smith(K2, [row[:] for row in want_M], None)
+        calls = []
+        counted = lattices_module.mat_inv
+        monkeypatch.setattr(lattices_module, "mat_inv",
+                            lambda *a, **k: calls.append(a[0]) or counted(*a, **k))
+        Qm = quotient_module(L, L2, LiftingSpec(1))
+        assert len(calls) == 2
+        assert calls[0] == L.hnf and calls[1] == Qm.adapted
+        assert Qm.gaps == tuple(want_gaps) and Qm.dimension == 4
+        assert Qm.adapted == mat_mul(L.hnf, want_P)
+
     def test_reduce_coordinates(self, K2):
         sigma = LiftingSpec(1)
         L0 = standard_lattice(K2, 1, 0)

@@ -18,8 +18,10 @@ from tlfields.scalars import ExtScalar, make_extension
 from tlfields.series import (
     Series,
     _compose_1d,
+    _convolve,
     _invert,
     _kronecker_product,
+    _mul_window,
     _packed_invert,
     _pad,
     agree_within_window,
@@ -805,6 +807,85 @@ class TestPackedInverse:
         d0 = c[0].inv()
         assert d0 == truncate_level1(x, 12)
         _assert_same_inverse(c, d0, 2)
+
+
+def _convolution_product(x, y):
+    """x * y by the product window of _mul_window and the coefficientwise
+    convolution of _convolve at every level, the route of every product with
+    a monomial operand before the shift."""
+    field, depth = x.field, x.depth
+    if x.is_exact_zero() or y.is_exact_zero():
+        return Series.zero(field, depth)
+    start, end, exact = _mul_window(x.order, x.order + len(x.coeffs), x.exact,
+                                    y.order, y.order + len(y.coeffs), y.exact)
+    n = end - start
+    if depth == 1:
+        values = _convolve([c.scalar for c in x.coeffs], [c.scalar for c in y.coeffs], n,
+                           field.zero, ExtScalar.is_zero)
+        coeffs = [Series(field, 0, scalar=v) for v in values]
+    else:
+        coeffs = [Series.zero(field, depth - 1)] * n
+        for i, a in enumerate(x.coeffs[:n]):
+            for j, b in enumerate(y.coeffs[:n - i]):
+                if not (a.is_exact_zero() or b.is_exact_zero()):
+                    coeffs[i + j] = coeffs[i + j] + _convolution_product(a, b)
+    return Series(field, depth, order=start, coeffs=coeffs, exact=exact)
+
+
+@st.composite
+def _monomial_case(draw):
+    """x, a monomial c * t^e with c one or not and exponents in -12..12, and
+    whether the monomial is the left operand; x is a series of depth 1-3 as in
+    _product_case, exact or cut to a level-1 window or a box."""
+    field = draw(st.sampled_from(INVERSE_FIELDS))
+    depth = draw(st.integers(1, 3))
+    scalar = _high_scalar(field) if draw(st.booleans()) else _scalar(field)
+    exponents = draw(st.sampled_from([st.integers(0, 1), st.integers(-2, 2), st.integers(-12, 12)]))
+    x = draw(_series(field, depth, scalar, exponents))
+    cut = draw(st.sampled_from(["exact", "level1", "box"]))
+    if cut != "exact" and not x.is_exact_zero():
+        ends = [x.order + draw(st.integers(1, 6))]
+        if cut == "box":
+            ends += [draw(st.integers(1, 4)) for _ in range(depth - 1)]
+        x = truncate_box(x, ends)
+    c = draw(st.one_of(st.just(field.one), _scalar(field).filter(lambda v: not v.is_zero())))
+    e = draw(st.lists(st.integers(-12, 12), min_size=depth, max_size=depth))
+    return x, Series.monomial(field, depth, e, c), draw(st.booleans())
+
+
+class TestMonomialProduct:
+    """A product with a monomial operand, a shift of every level, equals the
+    convolution."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(_monomial_case())
+    def test_equals_convolution(self, case):
+        x, m, left = case
+        assert series_module._is_monomial(m)
+        if left:
+            _assert_same_series(m * x, _convolution_product(m, x))
+        else:
+            _assert_same_series(x * m, _convolution_product(x, m))
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_window_soundness(self, field, depth):
+        # a narrow and a wide cut of one series, times one monomial, agree on
+        # the narrow window
+        rng = random.Random(90 + depth)
+        checked = 0
+        while checked < 16:
+            x = random_series(field, depth, rng, max_terms=6, exp_span=2)
+            if x.is_exact_zero():
+                continue
+            ends = [x.order + rng.randint(1, 4)] + [rng.randint(0, 3) for _ in range(depth - 1)]
+            narrow, wide = truncate_box(x, ends), truncate_box(x, [e + 3 for e in ends])
+            exps = [rng.randint(-3, 3) for _ in range(depth)]
+            c = field.one if checked % 2 else field.random_nonzero(rng, 3)
+            m = Series.monomial(field, depth, exps, c)
+            TestWindowSoundness()._compare(narrow * m, wide * m)
+            TestWindowSoundness()._compare(m * narrow, wide * m)
+            checked += 1
 
 
 class TestPower:
