@@ -906,8 +906,8 @@ def _default_probes(descriptor, count=6, seed=7):
     rng = random.Random(seed + descriptor.n)
     probes = []
     if descriptor.n == 0:
-        probes.append(Series.one(descriptor.field, 0))
-        probes.append(Series.constant(descriptor.field, 0, descriptor.field.random_element(rng)))
+        probes.append(descriptor.one())
+        probes.append(descriptor.constant(descriptor.field.random_element(rng)))
         return probes
     for exps in [(0,), (1,), (-1,), (2,), (-2,)]:
         probes.append(descriptor.monomial(exps + (0,) * (descriptor.n - 1)))

@@ -35,7 +35,7 @@ def valuation_info(x):
     for k, c in enumerate(x.coeffs):
         if c.is_exact_zero():
             continue
-        if c.depth == 0 or not c.is_zero_within_window():
+        if not c.is_zero_within_window():
             return x.order + k, True
         return x.order + k, False
     return x.end, False

@@ -32,6 +32,7 @@ from math import gcd, lcm, prod
 
 from .errors import (
     DivisionByZero,
+    IndeterminateValuation,
     IrreducibilityCheckInfeasible,
     LocalFieldError,
     ReduciblePolynomial,
@@ -533,9 +534,20 @@ class ExtField:
 
 
 class ExtScalar:
-    """An element of an ExtField in power-basis coordinates. Immutable."""
+    """An element of an ExtField in power-basis coordinates. Immutable.
+
+    It is also the depth-0 element of the series tower: the coefficients of a
+    depth-1 ``Series`` are ExtScalars, and ``Series(k, 0, scalar=s)`` is s.
+    For the series recursion it answers ``depth`` (0), ``is_exact_zero`` and
+    ``is_zero_within_window`` (both ``is_zero``), ``valuation``,
+    ``smallest_unknown_index``, ``coefficient_at(())``, ``known_terms``,
+    ``scalar_mul``, ``to_json``, and ``inv`` and ``**`` with a window that a
+    scalar ignores.
+    """
 
     __slots__ = ("field", "coeffs")
+
+    depth = 0
 
     def __init__(self, field, coeffs):
         self.field = field
@@ -543,6 +555,28 @@ class ExtScalar:
 
     def is_zero(self):
         return not any(self.coeffs)
+
+    is_exact_zero = is_zero_within_window = is_zero
+
+    def valuation(self):
+        if self.is_zero():
+            raise IndeterminateValuation("series is exactly zero")
+        return ()
+
+    def smallest_unknown_index(self):
+        return None
+
+    def coefficient_at(self, idx):
+        if tuple(idx):
+            raise LocalFieldError("index length must equal depth")
+        return self
+
+    def known_terms(self):
+        if not self.is_zero():
+            yield (), self
+
+    def to_json(self):
+        return {"scalar": [str(c) for c in self.coeffs]}
 
     def _coerce(self, other):
         if isinstance(other, ExtScalar):
@@ -620,11 +654,11 @@ class ExtScalar:
                     prod[i + j] += x * y
         return field._reduce(prod, den)
 
-    __rmul__ = __mul__
+    __rmul__ = scalar_mul = __mul__
 
-    def inv(self):
+    def inv(self, window=None):
         if self.is_zero():
-            raise DivisionByZero("inverse of zero scalar")
+            raise DivisionByZero("inverse of exact zero")
         field = self.field
         k = field.base
         if field.degree == 1:
@@ -646,7 +680,7 @@ class ExtScalar:
             return NotImplemented
         return other * self.inv()
 
-    def __pow__(self, n):
+    def __pow__(self, n, window=None):
         if n < 0:
             return self.inv() ** (-n)
         acc = self.field.one

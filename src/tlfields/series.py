@@ -1,8 +1,9 @@
 """Truncated iterated Laurent series with a precision-window calculus.
 
 An element of k'((t_1, ..., t_n)) is modeled recursively: a depth-n series is
-a Laurent series in t_1 whose coefficients are depth-(n-1) series, bottoming
-out in ExtScalar values at depth 0.  Each level records
+a Laurent series in t_1 whose coefficients are depth-(n-1) elements.  A depth-0
+element is an ExtScalar of k' itself, so a depth-1 series stores ExtScalars,
+and ``Series(k, 0, scalar=s)`` is s.  Each level records
 
   * ``order``  -- the lowest t_1-exponent with a possibly nonzero coefficient
                   (everything below ``order`` is exactly zero),
@@ -101,18 +102,17 @@ _PACK_BOX_PER_PAIR = 8
 class Series:
     """One element of an iterated Laurent series field, immutable."""
 
-    __slots__ = ("field", "depth", "scalar", "order", "coeffs", "exact")
+    __slots__ = ("field", "depth", "order", "coeffs", "exact")
+
+    def __new__(cls, field, depth, scalar=None, order=0, coeffs=(), exact=True):
+        # a depth-0 element is its scalar, k.zero when none is given
+        if depth == 0:
+            return field.zero if scalar is None else scalar
+        return super().__new__(cls)
 
     def __init__(self, field, depth, scalar=None, order=0, coeffs=(), exact=True):
         self.field = field
         self.depth = depth
-        if depth == 0:
-            self.scalar = scalar if scalar is not None else field.zero
-            self.order = 0
-            self.coeffs = ()
-            self.exact = True
-            return
-        self.scalar = None
         coeffs = list(coeffs)
         # strip provably-zero leading coefficients
         while coeffs and coeffs[0].is_exact_zero():
@@ -134,7 +134,7 @@ class Series:
         if isinstance(scalar, int):
             scalar = field.from_int(scalar)
         if depth == 0:
-            return cls(field, 0, scalar=scalar)
+            return scalar
         inner = cls.constant(field, depth - 1, scalar)
         if inner.is_exact_zero():
             return cls.zero(field, depth)
@@ -143,7 +143,7 @@ class Series:
     @classmethod
     def zero(cls, field, depth):
         if depth == 0:
-            return cls(field, 0, scalar=field.zero)
+            return field.zero
         return cls(field, depth, order=0, coeffs=(), exact=True)
 
     @classmethod
@@ -159,7 +159,7 @@ class Series:
         if isinstance(scalar, int):
             scalar = field.from_int(scalar)
         if depth == 0:
-            return cls(field, 0, scalar=scalar)
+            return scalar
         inner = cls.monomial(field, depth - 1, exponents[1:], scalar)
         if inner.is_exact_zero():
             return cls.zero(field, depth)
@@ -183,14 +183,10 @@ class Series:
     # -- structure ----------------------------------------------------------
 
     def is_exact_zero(self):
-        if self.depth == 0:
-            return self.scalar.is_zero()
         return not self.coeffs and self.exact
 
     def is_zero_within_window(self):
         """True when every guaranteed coefficient vanishes."""
-        if self.depth == 0:
-            return self.scalar.is_zero()
         return all(c.is_zero_within_window() for c in self.coeffs)
 
     @property
@@ -207,8 +203,6 @@ class Series:
 
     def coefficient_level1(self, i):
         """The depth-(n-1) coefficient of t_1^i, or raise InsufficientPrecision."""
-        if self.depth == 0:
-            raise LocalFieldError("depth-0 series has no level-1 coefficients")
         if i < self.order:
             return Series.zero(self.field, self.depth - 1)
         if i < self.order + len(self.coeffs):
@@ -224,16 +218,10 @@ class Series:
         idx = tuple(idx)
         if len(idx) != self.depth:
             raise LocalFieldError("index length must equal depth")
-        if self.depth == 0:
-            return self.scalar
         return self.coefficient_level1(idx[0]).coefficient_at(idx[1:])
 
     def valuation(self):
         """Lexicographic valuation in Z^n (t_1 dominant)."""
-        if self.depth == 0:
-            if self.scalar.is_zero():
-                raise IndeterminateValuation("series is exactly zero")
-            return ()
         if not self.coeffs:
             if self.exact:
                 raise IndeterminateValuation("series is exactly zero")
@@ -248,8 +236,6 @@ class Series:
         Returns None when the series is exact at every level.  A None entry
         inside the returned tuple means "everything from here on" (-infinity).
         """
-        if self.depth == 0:
-            return None
         for m, c in enumerate(self.coeffs):
             u = c.smallest_unknown_index()
             if u is not None:
@@ -270,8 +256,6 @@ class Series:
         if isinstance(other, (int, ExtScalar)):
             other = Series.constant(self.field, self.depth, other)
         self._check_compatible(other)
-        if self.depth == 0:
-            return Series(self.field, 0, scalar=self.scalar + other.scalar)
         if self.is_exact_zero():
             return other
         if other.is_exact_zero():
@@ -281,12 +265,11 @@ class Series:
             other.order, other.order + len(other.coeffs), other.exact,
         )
         n = end - start
-        a, zero, _ = self._level1_values()
-        b = other._level1_values()[0]
-        a = _pad(a, self.order - start, n, zero)
-        b = _pad(b, other.order - start, n, zero)
-        out = self._from_level1_values([x + y for x, y in zip(a, b)])
-        return Series(self.field, self.depth, order=start, coeffs=out, exact=exact)
+        zero = Series.zero(self.field, self.depth - 1)
+        a = _pad(self.coeffs, self.order - start, n, zero)
+        b = _pad(other.coeffs, other.order - start, n, zero)
+        return Series(self.field, self.depth, order=start, coeffs=[x + y for x, y in zip(a, b)],
+                      exact=exact)
 
     __radd__ = __add__
 
@@ -295,26 +278,7 @@ class Series:
             return self.coeffs[k - self.order]
         return zero
 
-    def _level1_values(self):
-        """(values, zero, is_zero) for the level-1 kernels.
-
-        At depth 1 the values are the ExtScalars of the coefficients, so a
-        kernel does scalar arithmetic and wraps each result into a depth-0
-        series once, in _from_level1_values; deeper, they are the coefficient
-        series themselves.
-        """
-        if self.depth == 1:
-            return [c.scalar for c in self.coeffs], self.field.zero, ExtScalar.is_zero
-        return list(self.coeffs), Series.zero(self.field, self.depth - 1), Series.is_exact_zero
-
-    def _from_level1_values(self, values):
-        if self.depth == 1:
-            return [Series(self.field, 0, scalar=v) for v in values]
-        return values
-
     def __neg__(self):
-        if self.depth == 0:
-            return Series(self.field, 0, scalar=-self.scalar)
         return Series(
             self.field,
             self.depth,
@@ -334,8 +298,6 @@ class Series:
     def scalar_mul(self, s):
         if isinstance(s, int):
             s = self.field.from_int(s)
-        if self.depth == 0:
-            return Series(self.field, 0, scalar=self.scalar * s)
         if s.is_zero():
             return Series.zero(self.field, self.depth)
         return Series(
@@ -350,8 +312,6 @@ class Series:
         if isinstance(other, (int, ExtScalar)):
             return self.scalar_mul(other)
         self._check_compatible(other)
-        if self.depth == 0:
-            return Series(self.field, 0, scalar=self.scalar * other.scalar)
         if self.is_exact_zero() or other.is_exact_zero():
             return Series.zero(self.field, self.depth)
         if _is_monomial(other):
@@ -367,9 +327,8 @@ class Series:
             self.order, self.order + len(self.coeffs), self.exact,
             other.order, other.order + len(other.coeffs), other.exact,
         )
-        a, zero, is_zero = self._level1_values()
-        b = other._level1_values()[0]
-        acc = self._from_level1_values(_convolve(a, b, end - start, zero, is_zero))
+        zero = Series.zero(self.field, self.depth - 1)
+        acc = _convolve(self.coeffs, other.coeffs, end - start, zero)
         return Series(self.field, self.depth, order=start, coeffs=acc, exact=exact)
 
     __rmul__ = __mul__
@@ -389,10 +348,6 @@ class Series:
         """
         if window is not None:
             check_window(window)
-        if self.depth == 0:
-            if self.scalar.is_zero():
-                raise DivisionByZero("inverse of exact zero")
-            return Series(self.field, 0, scalar=self.scalar.inv())
         if self.is_exact_zero():
             raise DivisionByZero("inverse of exact zero")
         if not self.coeffs:
@@ -412,14 +367,12 @@ class Series:
             w = len(self.coeffs)
         else:
             w = DEFAULT_WINDOW if window is None else window
-        c, zero, is_zero = self._level1_values()
-        c = _pad(c, 0, w, zero)
-        if self.depth == 1:
-            out = self._from_level1_values(_invert(c, c0.scalar.inv(), w, zero, is_zero))
-        elif sum(not x.is_exact_zero() for x in c) >= _PACK_MIN_COEFFS:
+        zero = Series.zero(self.field, self.depth - 1)
+        c = _pad(self.coeffs, 0, w, zero)
+        if self.depth > 1 and sum(not x.is_exact_zero() for x in c) >= _PACK_MIN_COEFFS:
             out = _packed_invert(c, c0.inv(window), w)
         else:
-            out = _invert(c, c0.inv(window), w, zero, is_zero)
+            out = _invert(c, c0.inv(window), w, zero)
         return Series(self.field, self.depth, order=-self.order, coeffs=out, exact=False)
 
     def __truediv__(self, other):
@@ -502,8 +455,6 @@ class Series:
             return NotImplemented
         if self.depth != other.depth or self.field != other.field:
             return False
-        if self.depth == 0:
-            return self.scalar == other.scalar
         return (
             self.order == other.order
             and self.exact == other.exact
@@ -511,18 +462,12 @@ class Series:
         )
 
     def __hash__(self):
-        if self.depth == 0:
-            return hash((self.field, self.scalar))
         return hash((self.field, self.depth, self.order, self.exact, self.coeffs))
 
     # -- display / serialization --------------------------------------------
 
     def known_terms(self):
         """Iterate (multi-index, scalar) over all guaranteed nonzero coefficients."""
-        if self.depth == 0:
-            if not self.scalar.is_zero():
-                yield (), self.scalar
-            return
         for k, c in enumerate(self.coeffs):
             for idx, s in c.known_terms():
                 yield (self.order + k,) + idx, s
@@ -550,8 +495,6 @@ class Series:
         return body
 
     def to_json(self):
-        if self.depth == 0:
-            return {"scalar": [str(c) for c in self.scalar.coeffs]}
         return {
             "order": self.order,
             "window": len(self.coeffs),
@@ -563,7 +506,7 @@ class Series:
     def from_json(cls, field, depth, data):
         if depth == 0:
             raw = [Fraction(c) if field.char == 0 else int(c) for c in data["scalar"]]
-            return cls(field, 0, scalar=field.element(raw))
+            return field.element(raw)
         coeffs = [cls.from_json(field, depth - 1, c) for c in data["coeffs"]]
         return cls(
             field,
@@ -588,12 +531,12 @@ def _pad(values, offset, n, zero):
     return row
 
 
-def _convolve(a, b, n, zero, is_zero):
+def _convolve(a, b, n, zero):
     """The first n coefficients of the product of coefficient lists a and b."""
     acc = [zero] * n
-    b_nonzero = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    b_nonzero = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero()]
     for i, x in enumerate(a[:n]):
-        if is_zero(x):
+        if x.is_exact_zero():
             continue
         for j, y in b_nonzero:
             if i + j >= n:
@@ -616,16 +559,15 @@ def _times_monomial(x, m):
     the order of every level of x moves by that level's exponent, exactness and
     exact-zero coefficients stay, and each stored scalar is multiplied by c
     once, or reused when c is one."""
-    field, exponents = x.field, []
-    while m.depth:
-        exponents.append(m.order)
-        m = m.coeffs[0]
-    c = m.scalar
+    field, exponents, c = x.field, [], m
+    while c.depth:
+        exponents.append(c.order)
+        c = c.coeffs[0]
     one = c == field.one
 
     def shift(y, level):
         if y.depth == 1:
-            coeffs = y.coeffs if one else [Series(field, 0, scalar=s.scalar * c) for s in y.coeffs]
+            coeffs = y.coeffs if one else [s * c for s in y.coeffs]
         else:
             coeffs = [s if s.is_exact_zero() else shift(s, level + 1) for s in y.coeffs]
         return Series(field, y.depth, order=y.order + exponents[level], coeffs=coeffs,
@@ -708,7 +650,7 @@ def _stored_rows(x, path=()):
     """(path, order, scalars) for each depth-1 coefficient of x that stores
     scalars, path holding its exponents at the levels above."""
     if x.depth == 1:
-        return [(path, x.order, [c.scalar for c in x.coeffs])] if x.coeffs else []
+        return [(path, x.order, x.coeffs)] if x.coeffs else []
     rows = []
     for k, c in enumerate(x.coeffs, x.order):
         if c.coeffs:
@@ -828,7 +770,6 @@ def _unpack(shape, field, packed, den, los, sizes, layout):
     raw = packed.to_bytes(total * width, "little")
     step = (2 * d - 1) * width
     reduce = field._reduce
-    zero = Series(field, 0, scalar=field.zero)
 
     def scalar_at(slot):
         o = slot * width
@@ -843,10 +784,10 @@ def _unpack(shape, field, packed, den, los, sizes, layout):
         start, end, exact = shape[0], shape[1], shape[2]
         lo, size, stride = los[level], sizes[level], strides[level]
         if level == depth - 1:
-            coeffs = [zero] * (end - start)
+            coeffs = [field.zero] * (end - start)
             if base is not None:
                 for k in range(max(start, lo), min(end, lo + size)):
-                    coeffs[k - start] = Series(field, 0, scalar=scalar_at(base + (k - lo) * stride))
+                    coeffs[k - start] = scalar_at(base + (k - lo) * stride)
             return Series(field, 1, order=start, coeffs=coeffs, exact=exact)
         inner_zero = Series.zero(field, depth - level - 1)
         coeffs = []
@@ -880,10 +821,10 @@ def _kronecker_product(x, y):
                    x.den * y.den, los, sizes, layout)
 
 
-def _invert(c, d0, w, zero, is_zero):
+def _invert(c, d0, w, zero):
     """The first w coefficients of 1 / sum c[k] t^k, given d0 = 1 / c[0]."""
     out = [d0]
-    c_nonzero = [(i, x) for i, x in enumerate(c) if i and not is_zero(x)]
+    c_nonzero = [(i, x) for i, x in enumerate(c) if i and not x.is_exact_zero()]
     for k in range(1, w):
         s = zero
         for i, x in c_nonzero:
@@ -989,7 +930,7 @@ def _evaluate(x, values, target_depth, field, window, end=None):
     is also the end handed down to c_k.
     """
     if x.depth == 0:
-        return Series.constant(field, target_depth, x.scalar)
+        return Series.constant(field, target_depth, x)
     v1 = values[0]
     acc = Series.zero(field, target_depth)
     for k in reversed(range(len(x.coeffs))):
@@ -1069,7 +1010,7 @@ def newton_inverse_1d(a, window=None):
     if a.exact and len(a.coeffs) == 1:
         # a = c t inverts exactly to c^{-1} t
         c = a.coefficient_at((1,))
-        return Series(a.field, 1, order=1, coeffs=(Series(a.field, 0, scalar=c.inv()),))
+        return Series(a.field, 1, order=1, coeffs=(c.inv(),))
     if window is not None:
         w = window
     else:
@@ -1115,7 +1056,7 @@ def random_series(field, depth, rng, max_terms=4, exp_span=3, scalar_span=4, exa
 def map_scalars(x, fn, target_field):
     """Apply fn to every scalar coefficient, producing a series over target_field."""
     if x.depth == 0:
-        return Series(target_field, 0, scalar=fn(x.scalar))
+        return fn(x)
     return Series(
         target_field,
         x.depth,

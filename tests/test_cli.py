@@ -284,6 +284,25 @@ class TestCommands:
         assert code == 0
         assert out == '{"band":0,"certified":true,"replayed":true,"target":"E"}'
 
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["trace-op", "--n", "0", "2*mul(3)"], 0, '{"value":"6"}'),
+            (["trace-op", "--n", "0", "mul(2)"], 0, '{"value":"2"}'),
+            (["trace-op", "--n", "0", "--ext-poly", "1,0,1", "mul(x+1)"], 0, '{"value":"2"}'),
+            (["residue", "--n", "0", "2*3^-1"], 0, '{"value":"2/3","window_used":8}'),
+            (["residue", "--n", "0", "--char", "5", "(2)^-1"], 0,
+             '{"value":"3","window_used":8}'),
+            (["trace-form", "--n", "0", "--upstairs-poly", "1,0,1", "3^2"], 0,
+             '{"form":{"coeffs":{"[]":{"scalar":["18"]}},"deg":0},"residue":"18"}'),
+            (["residue", "--n", "0", "0^-1"], 4,
+             '{"code": "division-by-zero", "error": "inverse of exact zero"}'),
+        ],
+    )
+    def test_dimension_zero_output_pinned(self, capsys, argv, code, out):
+        # at n = 0 every element is a scalar of the last residue field
+        assert run_cli(capsys, *argv) == (code, out)
+
     def test_kummer_zero_reaches_the_index_check(self, capsys):
         code, out = run_cli(capsys, "trace-form", "--n", "1", "--kummer", "0", "t1^-1 * d(t1)")
         assert code == 4

@@ -330,6 +330,10 @@ class TestSubstitute:
             img.coefficient_at((1, 2))
 
 
+# QQ, F_5 and F5[x]/(x^2 - 2)
+WINDOW_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])]
+
+
 class TestWindowSoundness:
     """Claims made on truncated operands must agree with full recomputation."""
 
@@ -391,11 +395,45 @@ class TestWindowSoundness:
             self._compare(inv_win, inv_full)
             checked += 1
 
-    @pytest.mark.parametrize(
-        "field",
-        [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])],
-        ids=repr,
-    )
+    @staticmethod
+    def _cuts(field, depth, seed, count):
+        """count pairs (x, a truncate_box of x) of random nonzero series."""
+        rng = random.Random(seed)
+        while count:
+            x = random_series(field, depth, rng, max_terms=4, exp_span=2)
+            if x.is_exact_zero():
+                continue
+            ends = [x.order + rng.randint(1, 4)] + [rng.randint(0, 3) for _ in range(depth - 1)]
+            yield rng, x, truncate_box(x, ends)
+            count -= 1
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_addition(self, field, depth):
+        for rng, x_full, x_win in self._cuts(field, depth, 170 + depth, 30):
+            y = random_series(field, depth, rng, max_terms=4, exp_span=2)
+            self._compare(x_win + y, x_full + y)
+            self._compare(y + x_win, y + x_full)
+            self._compare(x_win - y, x_full - y)
+            self._compare(x_win + x_win, x_full + x_full)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_negation_and_scalar_multiple(self, field, depth):
+        for rng, x_full, x_win in self._cuts(field, depth, 180 + depth, 30):
+            c = field.random_element(rng, 3)
+            self._compare(-x_win, -x_full)
+            self._compare(x_win.scalar_mul(c), x_full.scalar_mul(c))
+            self._compare(x_win * c, x_full * c)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_derivative(self, field, depth):
+        for _, x_full, x_win in self._cuts(field, depth, 190 + depth, 30):
+            for axis in range(1, depth + 1):
+                self._compare(x_win.derivative(axis), x_full.derivative(axis))
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_substitution(self, field, depth):
         rng = random.Random(71 + depth)
@@ -419,11 +457,7 @@ class TestWindowSoundness:
             self._compare(img_win, img_full)
             checked += 1
 
-    @pytest.mark.parametrize(
-        "field",
-        [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
     def test_compositional_inverse_of_a_window(self, field):
         """newton_inverse_1d of an a known only below t^end, where each
         composition stops at that end."""
@@ -504,7 +538,7 @@ class TestWindowSoundness:
 
 
 def _by_exponent(x):
-    return {x.order + k: c.scalar for k, c in enumerate(x.coeffs)}
+    return {x.order + k: c for k, c in enumerate(x.coeffs)}
 
 
 def _expected_end(ends):
@@ -737,7 +771,7 @@ def _inverse_case(draw):
 
 
 def _assert_same_inverse(c, d0, w):
-    want = _invert(c, d0, w, Series.zero(d0.field, d0.depth), Series.is_exact_zero)
+    want = _invert(c, d0, w, Series.zero(d0.field, d0.depth))
     got = _packed_invert(c, d0, w)
     assert len(got) == len(want) == w
     for g, x in zip(got, want):
@@ -820,9 +854,7 @@ def _convolution_product(x, y):
                                     y.order, y.order + len(y.coeffs), y.exact)
     n = end - start
     if depth == 1:
-        values = _convolve([c.scalar for c in x.coeffs], [c.scalar for c in y.coeffs], n,
-                           field.zero, ExtScalar.is_zero)
-        coeffs = [Series(field, 0, scalar=v) for v in values]
+        coeffs = _convolve(x.coeffs, y.coeffs, n, field.zero)
     else:
         coeffs = [Series.zero(field, depth - 1)] * n
         for i, a in enumerate(x.coeffs[:n]):
@@ -920,7 +952,7 @@ def _evaluate_everywhere(x, values, target_depth, field, window):
     """The image of every known term of x, composed in full: the evaluation
     before the level-1 cut, kept as its reference."""
     if x.depth == 0:
-        return Series.constant(field, target_depth, x.scalar)
+        return Series.constant(field, target_depth, x)
     acc = Series.zero(field, target_depth)
     for c in reversed(x.coeffs):
         acc = acc * values[0] + _evaluate_everywhere(c, values[1:], target_depth, field, window)
@@ -1059,3 +1091,159 @@ class TestJson:
         data = x.to_json()
         y = Series.from_json(Q, 2, data)
         assert x == y
+
+    # depth 1-3 series over Q(i) and F5[x]/(x^2 - 2) with inexact windows and
+    # exact-zero inner coefficients, and their JSON
+    @pytest.mark.parametrize(
+        "field, a, b, c, pinned",
+        [
+            (make_extension(0, [1, 0, 1]), [Fraction(1, 2), -2], [0, 3], [-1, Fraction(2, 3)], [
+                '{"order": -1, "window": 4, "exact": false, "coeffs": [{"scalar": ["1/2", "-2"]}, '
+                '{"scalar": ["0", "0"]}, {"scalar": ["0", "3"]}, {"scalar": ["0", "0"]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 1, "window": 1, '
+                '"exact": false, "coeffs": [{"scalar": ["1/2", "-2"]}]}, {"order": 2, "window": 0, '
+                '"exact": false, "coeffs": []}, {"order": -1, "window": 3, "exact": false, '
+                '"coeffs": [{"scalar": ["-1", "2/3"]}, {"scalar": ["0", "0"]}, '
+                '{"scalar": ["0", "0"]}]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 0, "window": 2, '
+                '"exact": false, "coeffs": [{"order": 1, "window": 0, "exact": false, "coeffs": []}, '
+                '{"order": 1, "window": 0, "exact": false, "coeffs": []}]}, {"order": 2, '
+                '"window": 0, "exact": false, "coeffs": []}, {"order": 0, "window": 2, '
+                '"exact": false, "coeffs": [{"order": -1, "window": 2, "exact": false, "coeffs": '
+                '[{"scalar": ["-1", "2/3"]}, {"scalar": ["0", "0"]}]}, {"order": 1, "window": 0, '
+                '"exact": false, "coeffs": []}]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 0, "window": 1, '
+                '"exact": true, "coeffs": [{"order": 1, "window": 1, "exact": true, "coeffs": '
+                '[{"scalar": ["1/2", "-2"]}]}]}, {"order": 0, "window": 0, "exact": true, '
+                '"coeffs": []}, {"order": 0, "window": 1, "exact": true, "coeffs": [{"order": -1, '
+                '"window": 1, "exact": true, "coeffs": [{"scalar": ["-1", "2/3"]}]}]}]}',
+            ]),
+            (make_extension(5, [-2, 0, 1]), [2, 4], [0, 3], [1, 1], [
+                '{"order": -1, "window": 4, "exact": false, "coeffs": [{"scalar": ["2", "4"]}, '
+                '{"scalar": ["0", "0"]}, {"scalar": ["0", "3"]}, {"scalar": ["0", "0"]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 1, "window": 1, '
+                '"exact": false, "coeffs": [{"scalar": ["2", "4"]}]}, {"order": 2, "window": 0, '
+                '"exact": false, "coeffs": []}, {"order": -1, "window": 3, "exact": false, '
+                '"coeffs": [{"scalar": ["1", "1"]}, {"scalar": ["0", "0"]}, '
+                '{"scalar": ["0", "0"]}]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 0, "window": 2, '
+                '"exact": false, "coeffs": [{"order": 1, "window": 0, "exact": false, "coeffs": []}, '
+                '{"order": 1, "window": 0, "exact": false, "coeffs": []}]}, {"order": 2, '
+                '"window": 0, "exact": false, "coeffs": []}, {"order": 0, "window": 2, '
+                '"exact": false, "coeffs": [{"order": -1, "window": 2, "exact": false, "coeffs": '
+                '[{"scalar": ["1", "1"]}, {"scalar": ["0", "0"]}]}, {"order": 1, "window": 0, '
+                '"exact": false, "coeffs": []}]}]}',
+                '{"order": 0, "window": 3, "exact": false, "coeffs": [{"order": 0, "window": 1, '
+                '"exact": true, "coeffs": [{"order": 1, "window": 1, "exact": true, "coeffs": '
+                '[{"scalar": ["2", "4"]}]}]}, {"order": 0, "window": 0, "exact": true, '
+                '"coeffs": []}, {"order": 0, "window": 1, "exact": true, "coeffs": [{"order": -1, '
+                '"window": 1, "exact": true, "coeffs": [{"scalar": ["1", "1"]}]}]}]}',
+            ]),
+        ],
+        ids=["Q(i)", "F25"],
+    )
+    def test_pinned_format(self, field, a, b, c, pinned):
+        a, b, c = field.element(a), field.element(b), field.element(c)
+        cases = [
+            truncate_level1(S(field, 1, {(-1,): a, (1,): b, (4,): c}), 3),
+            truncate_box(S(field, 2, {(0, 1): a, (0, 3): b, (2, -1): c, (3, 0): a}), [3, 2]),
+            truncate_box(
+                S(field, 3, {(0, 0, 1): a, (0, 2, 0): b, (2, 0, -1): c, (2, 1, 1): a}), [3, 2, 1]
+            ),
+            truncate_level1(S(field, 3, {(0, 0, 1): a, (2, 0, -1): c, (5, 1, 1): b}), 3),
+        ]
+        for x, text in zip(cases, pinned):
+            assert json.dumps(x.to_json()) == text
+            _assert_same_series(Series.from_json(field, x.depth, json.loads(text)), x)
+
+
+# Per field, its compound scalar c and, for zero, one and c, the coordinates
+# of to_json, v + c, v * c, v.scalar_mul(3), v.inv(4), v**3 and v**-2 (the
+# last three None at zero)
+DEPTH0_FIELDS = {
+    "Q": (make_extension(0, [0, 1]), [Fraction(-3, 2)]),
+    "F5": (make_extension(5, [0, 1]), [3]),
+    "Q(i)": (make_extension(0, [1, 0, 1]), [Fraction(1, 2), -2]),
+    "F25": (make_extension(5, [-2, 0, 1]), [2, 4]),
+}
+DEPTH0_PINNED = {
+    ('Q', 'zero'): (['0'], ['-3/2'], ['0'], ['0'], None, None, None),
+    ('Q', 'one'): (['1'], ['-1/2'], ['-3/2'], ['3'], ['1'], ['1'], ['1']),
+    ('Q', 'compound'): (['-3/2'], ['-3'], ['9/4'], ['-9/2'], ['-2/3'], ['-27/8'], ['4/9']),
+    ('F5', 'zero'): (['0'], ['3'], ['0'], ['0'], None, None, None),
+    ('F5', 'one'): (['1'], ['4'], ['3'], ['3'], ['1'], ['1'], ['1']),
+    ('F5', 'compound'): (['3'], ['1'], ['4'], ['4'], ['2'], ['2'], ['4']),
+    ('Q(i)', 'zero'): (['0', '0'], ['1/2', '-2'], ['0', '0'], ['0', '0'], None, None, None),
+    ('Q(i)', 'one'): (['1', '0'], ['3/2', '-2'], ['1/2', '-2'], ['3', '0'], ['1', '0'],
+                      ['1', '0'], ['1', '0']),
+    ('Q(i)', 'compound'): (['1/2', '-2'], ['1', '-4'], ['-15/4', '-2'], ['3/2', '-6'],
+                           ['2/17', '8/17'], ['-47/8', '13/2'], ['-60/289', '32/289']),
+    ('F25', 'zero'): (['0', '0'], ['2', '4'], ['0', '0'], ['0', '0'], None, None, None),
+    ('F25', 'one'): (['1', '0'], ['3', '4'], ['2', '4'], ['3', '0'], ['1', '0'], ['1', '0'],
+                     ['1', '0']),
+    ('F25', 'compound'): (['2', '4'], ['4', '3'], ['1', '1'], ['1', '2'], ['1', '3'], ['0', '1'],
+                          ['4', '1']),
+}
+
+
+class TestDepthZero:
+    """A depth-0 element is its ExtScalar, and answers what the series
+    recursion and the callers ask of it."""
+
+    @staticmethod
+    def _value(name, kind):
+        field, raw = DEPTH0_FIELDS[name]
+        c = field.element(raw)
+        return field, c, {"zero": Series.zero(field, 0), "one": Series.one(field, 0),
+                          "compound": Series.constant(field, 0, c)}[kind]
+
+    @pytest.mark.parametrize("name, kind", list(DEPTH0_PINNED), ids="-".join)
+    def test_surface(self, name, kind):
+        field, c, v = self._value(name, kind)
+
+        def coords(s):
+            return [str(x) for x in s.coeffs]
+
+        data, plus, times, thrice, inverse, cube, inverse_square = DEPTH0_PINNED[name, kind]
+        assert type(v) is ExtScalar and v.depth == 0
+        assert v.to_json() == {"scalar": data}
+        assert v.is_exact_zero() == v.is_zero_within_window() == (kind == "zero")
+        assert v.smallest_unknown_index() is None
+        assert v.coefficient_at(()) is v
+        assert list(v.known_terms()) == ([] if kind == "zero" else [((), v)])
+        assert coords(v + c) == plus
+        assert coords(v * c) == times
+        assert coords(v.scalar_mul(field.from_int(3))) == thrice
+        if kind == "zero":
+            return
+        assert v.valuation() == ()
+        assert coords(v.inv(4)) == inverse
+        assert coords(v.__pow__(3, 4)) == cube
+        assert coords(v.__pow__(-2, 4)) == inverse_square
+
+    @pytest.mark.parametrize("name", list(DEPTH0_FIELDS))
+    def test_constructors_give_the_scalar(self, name):
+        from tlfields.tlf import TlfDescriptor
+
+        field, c, _ = self._value(name, "compound")
+        assert Series(field, 0, scalar=c) is c
+        assert Series(field, 0) is field.zero
+        K0 = TlfDescriptor(0, field)
+        for v in (Series.zero(field, 0), Series.one(field, 0), Series.constant(field, 0, c),
+                  Series.monomial(field, 0, (), c), K0.zero(), K0.one(), K0.constant(c),
+                  Series.from_json(field, 0, c.to_json())):
+            assert type(v) is ExtScalar
+        assert Series.from_json(field, 0, c.to_json()) == c
+        assert K0.one() == 1
+        x = Series.from_terms(field, 1, {(0,): c, (2,): field.one})
+        assert [type(x.coefficient_level1(i)) for i in range(-1, 4)] == [ExtScalar] * 5
+
+    @pytest.mark.parametrize("name", list(DEPTH0_FIELDS))
+    def test_typed_errors(self, name):
+        _, c, zero = self._value(name, "zero")
+        with pytest.raises(IndeterminateValuation):
+            zero.valuation()
+        with pytest.raises(DivisionByZero):
+            zero.inv()
+        with pytest.raises(LocalFieldError):
+            c.coefficient_at((0,))
