@@ -35,7 +35,7 @@ from .errors import (
     NotReduced,
 )
 from .scalars import ext_trace, mat_mul, mat_vec, row_reduce
-from .series import Series, truncate_level1
+from .series import Series, level1_valuation, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
 
 
@@ -183,8 +183,6 @@ class MulBy(OperatorExpr):
     def band1(self):
         if self.f.is_exact_zero():
             return 0
-        from .lattices import level1_valuation
-
         return -level1_valuation(self.f)
 
     def window1(self):
@@ -200,8 +198,6 @@ class MulBy(OperatorExpr):
     def image_lb(self, in_lb):
         if self.f.is_exact_zero():
             return math.inf
-        from .lattices import level1_valuation
-
         v = level1_valuation(self.f)
         return None if in_lb is None else in_lb + v
 
@@ -269,8 +265,6 @@ class DiffOp(OperatorExpr):
         return out
 
     def band1(self):
-        from .lattices import level1_valuation
-
         worst = 0
         for c, I in self.terms:
             if c.is_exact_zero():
@@ -861,8 +855,6 @@ class Certificate:
                 img = phi.apply(p, w)
                 if img.is_exact_zero():
                     continue
-                from .lattices import level1_valuation
-
                 try:
                     v = level1_valuation(img)
                 except InsufficientPrecision:

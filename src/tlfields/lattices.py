@@ -7,9 +7,11 @@ pivot reduced); elementary divisors come from the two-sided Smith reduction,
 which also yields the unit factor P with L = P diag(a^d) O_1^r and the
 adapted bases used by quotient modules.
 
-Eliminations know their targets vanish identically, so cancelled entries are
-assigned exact zeros instead of the window-limited differences the division
-would produce; all remaining arithmetic keeps honest windows.
+Pivots are chosen by t_1-valuation (``series.valuation_info``), and an entry
+is reduced modulo a pivot t_1^h by splitting it with ``series.part_level1``
+at h.  Eliminations know their targets vanish identically, so cancelled
+entries are assigned exact zeros instead of the window-limited differences
+the division would produce; all remaining arithmetic keeps honest windows.
 """
 
 from .errors import (
@@ -20,33 +22,8 @@ from .errors import (
     SingularMatrix,
 )
 from .scalars import mat_mul, mat_vec, row_reduce
-from .series import Series
+from .series import Series, part_level1, valuation_info
 from .tlf import sigma_expand
-
-
-def valuation_info(x):
-    """(lower bound for v_1, known): known means the bound is the valuation.
-
-    Exact zero yields (None, True).  A window-limited element whose visible
-    coefficients vanish gets its window end as an honest lower bound.
-    """
-    if x.is_exact_zero():
-        return None, True
-    for k, c in enumerate(x.coeffs):
-        if c.is_exact_zero():
-            continue
-        if not c.is_zero_within_window():
-            return x.order + k, True
-        return x.order + k, False
-    return x.end, False
-
-
-def level1_valuation(x):
-    """The t_1-order of a nonzero element; None for exact zero."""
-    v, known = valuation_info(x)
-    if known:
-        return v
-    raise InsufficientPrecision("t_1-valuation indeterminate within the window")
 
 
 def _entry_nonnegative(e):
@@ -218,38 +195,14 @@ def _column_hermite(descriptor, M, window):
             e = M[i][col]
             if e.is_exact_zero():
                 continue
-            high = _part_at_least(e, h)
+            high = part_level1(e, h)
             if high.is_exact_zero():
                 continue
             f = high * descriptor.monomial((-h,) + one_exps)
             for row in range(r):
                 M[row][col] = M[row][col] - f * M[row][i]
-            M[i][col] = _part_below(e, h)
+            M[i][col] = part_level1(e, None, h)
     return M
-
-
-def _part_at_least(x, cut):
-    if x.is_exact_zero() or x.order >= cut:
-        return x
-    end = x.end
-    hi = end if end is not None else x.order + len(x.coeffs)
-    zero = Series.zero(x.field, x.depth - 1)
-    coeffs = [x._stored(k, zero) for k in range(cut, max(cut, hi))]
-    return Series(x.field, x.depth, order=cut, coeffs=coeffs, exact=x.exact)
-
-
-def _part_below(x, cut):
-    if x.is_exact_zero():
-        return x
-    zero = Series.zero(x.field, x.depth - 1)
-    start = min(x.order, cut)
-    end = x.end
-    if end is not None and end < cut:
-        # the window stops short of the cut: the part beyond it is unknown
-        coeffs = [x._stored(k, zero) for k in range(start, end)]
-        return Series(x.field, x.depth, order=start, coeffs=coeffs, exact=False)
-    coeffs = [x._stored(k, zero) for k in range(start, cut)]
-    return Series(x.field, x.depth, order=start, coeffs=coeffs, exact=True)
 
 
 def _smith(descriptor, M, window):

@@ -13,13 +13,12 @@ different residues.
 from itertools import permutations
 
 from .errors import (
-    InsufficientPrecision,
     LocalFieldError,
     UnsupportedExtension,
     WildRamification,
 )
 from .scalars import ExtField, ext_trace
-from .series import Series, map_scalars
+from .series import Series, map_scalars, part_level1
 from .forms import (
     AbstractForm,
     Gen,
@@ -136,17 +135,8 @@ def _kummer_component(x, e, r):
         raise LocalFieldError("component extraction needs depth >= 1")
     if x.is_exact_zero():
         return x
-    o = x.order
-    end = x.end
-    content_end = o + len(x.coeffs)
-    k_lo = -((-(o - r)) // e)  # ceil((o - r) / e)
-    zero = Series.zero(x.field, x.depth - 1)
-    hi = end if end is not None else content_end
-    k_hi = -((-(hi - r)) // e)
-    coeffs = []
-    for k in range(k_lo, k_hi):
-        m = e * k + r
-        coeffs.append(x._stored(m, zero))
+    k_lo = -((r - x.order) // e)  # ceil((order - r) / e)
+    coeffs = x.coeffs[e * k_lo + r - x.order::e]
     return Series(x.field, x.depth, order=k_lo, coeffs=coeffs, exact=x.exact)
 
 
@@ -250,7 +240,11 @@ def tate_residue_dim1(f, g, shift=0):
 
     pi projects onto t-exponents >= shift (the lattice t^shift O_1 along the
     standard complement); the commutator is supported on a finite band of
-    exponents, and its trace is independent of shift.
+    exponents, and its trace is independent of shift.  Windowed operands are
+    answered whenever the band's terms are guaranteed: pi(f t^m) is known
+    where f t^m is known and below shift, and InsufficientPrecision is raised
+    only when a coefficient of f g or of g pi(f t^m) that the trace needs lies
+    beyond its window.
     """
     if f.depth != 1 or g.depth != 1:
         raise LocalFieldError("the commutator residue is one-dimensional")
@@ -274,25 +268,10 @@ def tate_residue_dim1(f, g, shift=0):
         else:
             term1 = field.zero
         shifted = _shift_level1(f, m)
-        projected = _project_at_least(shifted, shift)
+        projected = part_level1(shifted, shift)
         term2 = (g * projected).coefficient_at((m,)) if not projected.is_exact_zero() else field.zero
         acc = acc + term1 - term2
     return ext_trace(acc)
-
-
-def _project_at_least(x, cut):
-    """Keep t_1-exponents >= cut (exact: the dropped part is known zero)."""
-    if x.depth == 0:
-        raise LocalFieldError("projection needs depth >= 1")
-    if x.is_exact_zero() or x.order >= cut:
-        return x
-    end = x.end
-    if end is not None and end <= cut:
-        raise InsufficientPrecision("projection cut beyond the guaranteed window")
-    zero = Series.zero(x.field, x.depth - 1)
-    hi = end if end is not None else x.order + len(x.coeffs)
-    coeffs = [x._stored(k, zero) for k in range(cut, hi)]
-    return Series(x.field, x.depth, order=cut, coeffs=coeffs, exact=x.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,10 @@ class Series:
             return self.coeffs[i - self.order]
         if self.exact:
             return Series.zero(self.field, self.depth - 1)
+        if not self.coeffs:
+            raise InsufficientPrecision(
+                f"t_1-coefficient {i} unknown: nothing is guaranteed from t_1^{self.order} on"
+            )
         raise InsufficientPrecision(
             f"t_1-coefficient {i} outside guaranteed window [{self.order}, {self.end})"
         )
@@ -272,11 +276,6 @@ class Series:
                       exact=exact)
 
     __radd__ = __add__
-
-    def _stored(self, k, zero):
-        if self.order <= k < self.order + len(self.coeffs):
-            return self.coeffs[k - self.order]
-        return zero
 
     def __neg__(self):
         return Series(
@@ -955,9 +954,8 @@ def truncate_lex(x, bound):
     end = x.end
     if end is not None and b1 >= end:
         return x
-    zero = Series.zero(x.field, x.depth - 1)
     start = min(x.order, b1)
-    kept = [x._stored(k, zero) for k in range(start, b1)]
+    kept = _pad(x.coeffs, x.order - start, b1 - start, Series.zero(x.field, x.depth - 1))
     rest = bound[1:]
     if rest and rest[0] is not None and x.depth > 1 and (end is None or b1 < end):
         kept.append(truncate_lex(x.coefficient_level1(b1), rest))
@@ -971,10 +969,28 @@ def truncate_level1(x, end):
     cur = x.end
     if cur is not None and cur <= end:
         return x
-    zero = Series.zero(x.field, x.depth - 1)
     start = min(x.order, end)
-    kept = [x._stored(k, zero) for k in range(start, end)]
+    kept = _pad(x.coeffs, x.order - start, end - start, Series.zero(x.field, x.depth - 1))
     return Series(x.field, x.depth, order=start, coeffs=kept, exact=False)
+
+
+def part_level1(x, lo=None, hi=None):
+    """The part of x at level-1 exponents in [lo, hi), None meaning unbounded;
+    every other coefficient is an exact zero.
+
+    The part is exact when x is known up to hi, or when [lo, hi) is empty;
+    otherwise it is known where x is known, and below lo.
+    """
+    if x.depth == 0:
+        raise LocalFieldError("cannot project a depth-0 series")
+    if x.is_exact_zero():
+        return x
+    stored_end = x.order + len(x.coeffs)
+    start = x.order if lo is None else max(x.order, lo)
+    stop = stored_end if hi is None else max(start, min(hi, stored_end))
+    exact = x.exact or (hi is not None and max(stored_end, start) >= hi)
+    return Series(x.field, x.depth, order=start, coeffs=x.coeffs[start - x.order:stop - x.order],
+                  exact=exact)
 
 
 def truncate_box(x, ends):
@@ -991,6 +1007,29 @@ def truncate_box(x, ends):
 def agree_within_window(x, y):
     """True when x - y vanishes on every coefficient the difference guarantees."""
     return (x - y).is_zero_within_window()
+
+
+def valuation_info(x):
+    """(lower bound for v_1, known): known means the bound is the valuation.
+
+    Exact zero yields (None, True).  A window-limited element whose visible
+    coefficients vanish gets its window end as an honest lower bound.
+    """
+    if x.is_exact_zero():
+        return None, True
+    for k, c in enumerate(x.coeffs):
+        if c.is_exact_zero():
+            continue
+        return x.order + k, not c.is_zero_within_window()
+    return x.end, False
+
+
+def level1_valuation(x):
+    """The t_1-order of a nonzero element; None for exact zero."""
+    v, known = valuation_info(x)
+    if known:
+        return v
+    raise InsufficientPrecision("t_1-valuation indeterminate within the window")
 
 
 def residue_level1(x):

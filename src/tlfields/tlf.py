@@ -33,6 +33,7 @@ from .series import (
     Series,
     check_window,
     newton_inverse_1d,
+    part_level1,
     residue_level1,
     truncate_level1,
 )
@@ -541,11 +542,9 @@ class ArtinianQuotient:
             raise LocalFieldError("element has wrong depth")
         if not x.is_exact_zero() and x.order < 0:
             raise LocalFieldError("element not in O_1 (negative t_1-exponent)")
-        zero = Series.zero(x.field, x.depth - 1)
-        kept = [x._stored(k, zero) for k in range(0, self.exponent + 1)]
-        if not x.exact and (x.end is not None and x.end <= self.exponent):
+        if not x.exact and x.end <= self.exponent:
             raise InsufficientPrecision("element window does not cover the quotient degrees")
-        return Series(x.field, x.depth, order=0, coeffs=kept, exact=True)
+        return part_level1(x, 0, self.exponent + 1)
 
     def standard_basis(self):
         return [

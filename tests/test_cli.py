@@ -96,6 +96,22 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["value"] == "1"
 
+    def test_tate_residue_of_windowed_operands(self, capsys):
+        # pi(f t^m) is known where f t^m is known, so f = 1 + t1 + t1^2 + O(t1^3)
+        # answers while every coefficient the trace needs is guaranteed
+        for argv, out in [
+            (["--window", "3", "inv(1-t1)", "t1^-2"], '{"value":"-2","window_used":3}'),
+            (["--window", "3", "--char", "5", "inv(1-t1)", "t1^-2"], '{"value":"3","window_used":3}'),
+        ]:
+            assert run_cli(capsys, "tate-residue", *argv) == (0, out)
+        # t1^-3 needs f_3, which the window does not reach
+        code, out = run_cli(capsys, "tate-residue", "--window", "3", "inv(1-t1)", "t1^-1+t1^-3")
+        assert code == 3
+        assert json.loads(out) == {
+            "code": "insufficient-precision",
+            "error": "t_1-coefficient -3 unknown: nothing is guaranteed from t_1^-3 on",
+        }
+
     def test_global_sum(self, capsys):
         code, out = run_cli(capsys, "global-sum", "--char", "0", "1/(t*(t-1)) dt")
         assert code == 0

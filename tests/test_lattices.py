@@ -4,7 +4,7 @@ import pytest
 
 from tlfields.errors import InsufficientPrecision, NoCertificate, NotContained, SingularMatrix
 from tlfields.scalars import make_extension
-from tlfields.series import Series, agree_within_window
+from tlfields.series import Series, agree_within_window, level1_valuation
 from tlfields.lattices import (
     LatticePair,
     Refinement,
@@ -12,7 +12,6 @@ from tlfields.lattices import (
     find_refinement,
     induced_quotient_map,
     lattice_normal_form,
-    level1_valuation,
     mat_inv,
     mat_mul,
     quotient_module,

@@ -5,7 +5,7 @@ import pytest
 
 from tlfields.errors import InsufficientPrecision, WildRamification
 from tlfields.scalars import ext_trace, make_extension
-from tlfields.series import agree_within_window, random_series
+from tlfields.series import agree_within_window, random_series, truncate_level1
 from tlfields.forms import SeparatedForm, dlog, dlog_element
 from tlfields.residue import (
     ExtensionSpec,
@@ -372,6 +372,28 @@ class TestTateResidue:
             base = tate_residue_dim1(f, g)
             for shift in (-3, -1, 1, 2, 5):
                 assert tate_residue_dim1(f, g, shift=shift) == base
+
+    @pytest.mark.parametrize("char", [0, 5])
+    def test_windowed_operands(self, char):
+        """Operands cut to a level-1 window give the residue of the exact
+        operands, or refuse with InsufficientPrecision."""
+        field = make_extension(char, [0, 1])
+        rng = random.Random(41 + char)
+        answered = refused = 0
+        for _ in range(300):
+            f = random_series(field, 1, rng, max_terms=4, exp_span=4)
+            g = random_series(field, 1, rng, max_terms=4, exp_span=4)
+            shift = rng.randint(-4, 4)
+            f_win = truncate_level1(f, f.order + rng.randint(0, 8))
+            g_win = g if rng.random() < 0.3 else truncate_level1(g, g.order + rng.randint(0, 8))
+            try:
+                value = tate_residue_dim1(f_win, g_win, shift=shift)
+            except InsufficientPrecision:
+                refused += 1
+                continue
+            assert value == tate_residue_dim1(f, g, shift=shift)
+            answered += 1
+        assert answered >= 100 and refused >= 100
 
 
 class TestCounterexample:

@@ -27,6 +27,7 @@ from tlfields.series import (
     agree_within_window,
     check_uniformizer_valuations,
     newton_inverse_1d,
+    part_level1,
     random_series,
     truncate_box,
     truncate_level1,
@@ -518,6 +519,63 @@ class TestWindowSoundness:
             if min(len(x_win.coeffs), len(y.coeffs)) >= 2:
                 packed += _kronecker_product(x_win, y) is not None
         assert packed >= (16 if depth == 2 else 10)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_level1_projection(self, field, depth):
+        for rng, x_full, x_win in self._cuts(field, depth, 200 + depth, 30):
+            for _ in range(3):
+                lo = rng.choice([None, x_full.order + rng.randint(-2, 4)])
+                hi = rng.choice([None, x_full.order + rng.randint(-1, 6)])
+                self._compare(part_level1(x_win, lo, hi), part_level1(x_full, lo, hi))
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_truncations(self, field, depth):
+        for rng, x_full, x_win in self._cuts(field, depth, 210 + depth, 30):
+            end = x_full.order + rng.randint(-1, 6)
+            self._compare(truncate_level1(x_win, end), x_full)
+            bound = [end] + [rng.choice([None, rng.randint(-2, 3)]) for _ in range(depth - 1)]
+            self._compare(truncate_lex(x_win, bound), x_full)
+            ends = [end] + [rng.randint(-1, 4) for _ in range(depth - 1)]
+            self._compare(truncate_box(x_win, ends), x_full)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_hermite_form(self, field, depth):
+        """The Hermite form of generators cut to a box against that of the
+        same generators cut to a box three wider at every level, on forms
+        whose entry below the diagonal is not an exact zero."""
+        from tlfields.lattices import lattice_normal_form
+        from tlfields.tlf import TlfDescriptor
+
+        desc = TlfDescriptor(depth, field)
+        rng = random.Random(220 + depth)
+        checked = inexact = 0
+        while checked < 12:
+            full = [[random_series(field, depth, rng, max_terms=4, exp_span=3) for _ in range(2)]
+                    for _ in range(2)]
+            ends = [[[e.order + rng.randint(1, 3)] + [rng.randint(0, 3) for _ in range(depth - 1)]
+                     for e in row] for row in full]
+            narrow, wide = (
+                [[truncate_box(e, [b + extra for b in cut]) for e, cut in zip(row, row_ends)]
+                 for row, row_ends in zip(full, ends)]
+                for extra in (0, 3)
+            )
+            try:
+                got = lattice_normal_form(desc, narrow, window=6)
+                want = lattice_normal_form(desc, wide, window=9)
+            except (InsufficientPrecision, LocalFieldError):
+                continue  # SingularMatrix is a LocalFieldError
+            if got.hnf[1][0].is_exact_zero():
+                continue
+            assert got.divisors == want.divisors
+            for got_row, want_row in zip(got.hnf, want.hnf):
+                for a, b in zip(got_row, want_row):
+                    self._compare(a, b)
+            checked += 1
+            inexact += not got.hnf[1][0].exact
+        assert inexact >= 2
 
     @PROPERTY
     @given(_depth_one_pair(first_exact=True), st.integers(1, 5))
@@ -1247,3 +1305,152 @@ class TestDepthZero:
             zero.inv()
         with pytest.raises(LocalFieldError):
             c.coefficient_at((0,))
+
+
+# The level-1 projections that part_level1 replaced, as they were written in
+# lattices (the Hermite form), residue (tate_residue_dim1) and
+# tlf.ArtinianQuotient.reduce, kept as the reference.
+
+
+def _stored(x, k, zero):
+    if x.order <= k < x.order + len(x.coeffs):
+        return x.coeffs[k - x.order]
+    return zero
+
+
+def _part_at_least(x, cut):
+    if x.is_exact_zero() or x.order >= cut:
+        return x
+    end = x.end
+    hi = end if end is not None else x.order + len(x.coeffs)
+    zero = Series.zero(x.field, x.depth - 1)
+    coeffs = [_stored(x, k, zero) for k in range(cut, max(cut, hi))]
+    return Series(x.field, x.depth, order=cut, coeffs=coeffs, exact=x.exact)
+
+
+def _part_below(x, cut):
+    if x.is_exact_zero():
+        return x
+    zero = Series.zero(x.field, x.depth - 1)
+    start = min(x.order, cut)
+    end = x.end
+    if end is not None and end < cut:
+        # the window stops short of the cut: the part beyond it is unknown
+        coeffs = [_stored(x, k, zero) for k in range(start, end)]
+        return Series(x.field, x.depth, order=start, coeffs=coeffs, exact=False)
+    coeffs = [_stored(x, k, zero) for k in range(start, cut)]
+    return Series(x.field, x.depth, order=start, coeffs=coeffs, exact=True)
+
+
+def _project_at_least(x, cut):
+    """Keep t_1-exponents >= cut (exact: the dropped part is known zero)."""
+    if x.depth == 0:
+        raise LocalFieldError("projection needs depth >= 1")
+    if x.is_exact_zero() or x.order >= cut:
+        return x
+    end = x.end
+    if end is not None and end <= cut:
+        raise InsufficientPrecision("projection cut beyond the guaranteed window")
+    zero = Series.zero(x.field, x.depth - 1)
+    hi = end if end is not None else x.order + len(x.coeffs)
+    coeffs = [_stored(x, k, zero) for k in range(cut, hi)]
+    return Series(x.field, x.depth, order=cut, coeffs=coeffs, exact=x.exact)
+
+
+def _quotient_slice(A, x):
+    if x.depth != A.descriptor.n:
+        raise LocalFieldError("element has wrong depth")
+    if not x.is_exact_zero() and x.order < 0:
+        raise LocalFieldError("element not in O_1 (negative t_1-exponent)")
+    zero = Series.zero(x.field, x.depth - 1)
+    kept = [_stored(x, k, zero) for k in range(0, A.exponent + 1)]
+    if not x.exact and (x.end is not None and x.end <= A.exponent):
+        raise InsufficientPrecision("element window does not cover the quotient degrees")
+    return Series(x.field, x.depth, order=0, coeffs=kept, exact=True)
+
+
+@st.composite
+def _projection_case(draw):
+    """x of depth 1-3 over QQ, F_5, Q(i) and F5[x]/(x^2 - 2), as in
+    _product_case exact or cut to a level-1 window or a box (which may store
+    nothing), and two cuts in -6..6, each of them None (unbounded) or not."""
+    field = draw(st.sampled_from(SUBSTITUTION_FIELDS))
+    depth = draw(st.integers(1, 3))
+    x = draw(_series(field, depth, _scalar(field), st.integers(-4, 4)))
+    cut = draw(st.sampled_from(["exact", "level1", "box"]))
+    if cut != "exact" and not x.is_exact_zero():
+        ends = [x.order + draw(st.integers(0, 6))]
+        if cut == "box":
+            ends += [draw(st.integers(0, 4)) for _ in range(depth - 1)]
+        x = truncate_box(x, ends)
+    cuts = st.one_of(st.none(), st.integers(-6, 6))
+    return x, draw(cuts), draw(cuts)
+
+
+class TestPartLevel1:
+    """part_level1 is each of the projections it replaced, and is the part of
+    x in [lo, hi) with every other coefficient an exact zero."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(_projection_case())
+    def test_equals_the_replaced_projections(self, case):
+        x, lo, hi = case
+        if lo is not None:
+            _assert_same_series(part_level1(x, lo), _part_at_least(x, lo))
+            got, refused = _outcome(lambda: _project_at_least(x, lo))
+            if refused is None:
+                _assert_same_series(part_level1(x, lo), got)
+            else:
+                # refused where nothing from lo on is known; now that is the part
+                assert refused[0] is InsufficientPrecision
+                assert part_level1(x, lo) == Series(x.field, x.depth, order=lo, exact=False)
+        if hi is not None:
+            _assert_same_series(part_level1(x, None, hi), _part_below(x, hi))
+
+    @settings(PROPERTY, max_examples=300)
+    @given(_projection_case())
+    def test_is_the_part_in_the_range(self, case):
+        x, lo, hi = case
+        part = part_level1(x, lo, hi)
+        empty = lo is not None and hi is not None and lo >= hi
+        assert part.exact == (x.exact or empty or (hi is not None and x.end >= hi))
+        for k in range(-12, 14):
+            inside = (lo is None or lo <= k) and (hi is None or k < hi)
+            x_knows = x.exact or k < x.end
+            knows = part.exact or k < part.end
+            if inside:
+                assert knows == x_knows
+                if knows:
+                    assert part.coefficient_level1(k) == x.coefficient_level1(k)
+            else:
+                assert knows or (hi is not None and k >= hi)
+                if knows:
+                    assert part.coefficient_level1(k).is_exact_zero()
+
+    @settings(PROPERTY, max_examples=200)
+    @given(_projection_case(), st.integers(0, 5))
+    def test_quotient_reduce_equals_the_slice(self, case, exponent):
+        from tlfields.tlf import ArtinianQuotient, TlfDescriptor
+
+        x = case[0]
+        A = ArtinianQuotient(TlfDescriptor(x.depth, x.field), exponent)
+        got, refused = _outcome(lambda: A.reduce(x))
+        want, reference_refused = _outcome(lambda: _quotient_slice(A, x))
+        assert refused == reference_refused
+        if want is not None:
+            _assert_same_series(got, want)
+
+    def test_quotient_refusals(self, Q):
+        from tlfields.tlf import ArtinianQuotient, TlfDescriptor
+
+        A = ArtinianQuotient(TlfDescriptor(1, Q), 2)
+        x = S(Q, 1, {(0,): 1, (1,): 2})
+        with pytest.raises(InsufficientPrecision, match="does not cover"):
+            A.reduce(truncate_level1(x, 2))
+        assert A.reduce(truncate_level1(x, 3)) == x
+        with pytest.raises(LocalFieldError, match="not in O_1"):
+            A.reduce(S(Q, 1, {(-1,): 1}))
+
+    def test_depth_zero_is_refused(self, Q):
+        with pytest.raises(LocalFieldError):
+            part_level1(Q.one, 0)
