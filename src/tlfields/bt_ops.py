@@ -1,8 +1,8 @@
 """The operator algebra on K and its membership certificates.
 
 Operators form a closed class of k-linear endomorphisms built from
-multiplications, continuous differential operators (characteristic 0 beyond
-order 0), level projections relative to a lifting system, coefficientwise
+multiplications, continuous differential operators in the divided-power basis,
+level projections relative to a lifting system, coefficientwise
 lifts, and explicit finite-rank maps, combined by composition, addition and
 scalar multiple.
 
@@ -28,14 +28,13 @@ import math
 from collections import namedtuple
 
 from .errors import (
-    CharacteristicObstruction,
     InsufficientPrecision,
     LocalFieldError,
     NotCertifiable,
     NotReduced,
 )
 from .scalars import ext_trace, mat_mul, mat_vec, row_reduce
-from .series import Series, level1_valuation, truncate_level1
+from .series import Series, binomial, level1_valuation, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
 
 
@@ -233,7 +232,14 @@ class MulBy(OperatorExpr):
 
 
 class DiffOp(OperatorExpr):
-    """A finite sum of terms a_I * d^I; orders beyond 0 need characteristic 0."""
+    """A finite sum of terms a_I * d^[I], where d^[I] is the product over the
+    axes of the divided-power derivatives d^[I_axis] (``Series.divided_derivative``).
+
+    The d^[I] with |I| <= d span the continuous differential operators of
+    order <= d over the coefficients, in every characteristic, so each such
+    operator is a DiffOp.  In characteristic 0, d^[I] is d^I / prod_axis
+    I_axis!, which is d^I when every I_axis <= 1.
+    """
 
     def __init__(self, descriptor, terms):
         super().__init__(descriptor)
@@ -241,10 +247,6 @@ class DiffOp(OperatorExpr):
         for c, I in self.terms:
             if len(I) != descriptor.n or any(i < 0 for i in I):
                 raise LocalFieldError("derivative orders must be a nonnegative multi-index")
-            if any(I) and descriptor.char != 0:
-                raise CharacteristicObstruction(
-                    "differential operators beyond order 0 are supported in characteristic 0 only"
-                )
 
     @classmethod
     def partial(cls, descriptor, axis):
@@ -259,8 +261,8 @@ class DiffOp(OperatorExpr):
         for c, I in self.terms:
             y = x
             for axis, k in enumerate(I, start=1):
-                for _ in range(k):
-                    y = y.derivative(axis)
+                if k:
+                    y = y.divided_derivative(axis, k)
             out = out + c * y
         return out
 
@@ -273,10 +275,16 @@ class DiffOp(OperatorExpr):
         return worst
 
     def window1(self):
-        span, order = None, 0
+        span, order, p = None, 0, self.descriptor.char
         for c, I in self.terms:
             if c.is_exact_zero():
                 continue
+            if I[0] and p:
+                raise NotCertifiable(
+                    f"{self!r}: d_1^[{I[0]}] scales the quotient column q by C(q, {I[0]}),"
+                    f" which vanishes mod {p} at some q outside [0, {I[0]}), so the columns"
+                    " do not repeat up to nonzero scalars"
+                )
             if not c.exact:
                 raise NotCertifiable(
                     f"{self!r} has a coefficient known only below t_1^{c.end}, so not"
@@ -284,7 +292,8 @@ class DiffOp(OperatorExpr):
                 )
             span = _hull(span, (c.order - I[0], c.order + len(c.coeffs) - I[0]))
             order = max(order, I[0])
-        # d_1^i a^q = (q)_i a^(q - i): the falling factorial vanishes for q in [0, i)
+        # d_1^[i] a^q = C(q, i) a^(q - i): in characteristic 0 the binomial
+        # vanishes exactly for q in [0, i)
         return Window1(span or (0, 1), (0, order) if order else None, None, order)
 
     def image_lb(self, in_lb):
@@ -307,11 +316,9 @@ class DiffOp(OperatorExpr):
             i1 = I[0]
             inner_I = I[1:]
             for q_in in range(lo, hi):
-                # d_1^{i1} on a^q gives the falling factorial in q
-                factor = 1
-                for s in range(i1):
-                    factor *= (q_in - s)
-                if factor == 0:
+                # d_1^[i1] on a^q gives the binomial C(q, i1)
+                factor = sub_desc.field.from_int(binomial(q_in, i1))
+                if factor.is_zero():
                     continue
                 mid = q_in - i1
                 for q_out in range(lo, hi):
@@ -326,7 +333,7 @@ class DiffOp(OperatorExpr):
                     entry = MulBy(sub_desc, cu)
                     if any(inner_I):
                         entry = Compose([entry, DiffOp(sub_desc, [(sub_desc.one(), inner_I)])])
-                    entry = ScalarMul(sub_desc.field.from_int(factor), entry)
+                    entry = ScalarMul(factor, entry)
                     _add_entry(out, (q_out, q_in), entry)
         return out
 
@@ -884,7 +891,7 @@ class Certificate:
 
 def _shape(op):
     """op without its nonzero scalar factors: DiffOp entries repeat along the
-    diagonal up to the falling factorial in q."""
+    diagonal up to the binomial C(q, i) in q."""
     if isinstance(op, ScalarMul) and not op.scalar.is_zero():
         return _shape(op.part)
     if isinstance(op, (Compose, AddOp)):

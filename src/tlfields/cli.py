@@ -690,7 +690,8 @@ def cmd_selftest(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _int_at_least(low):
+def _int_at_least(low, high=None):
+    """An argparse type for an integer >= low, and <= high when one is given."""
     def parse(text):
         try:
             value = int(text)
@@ -698,9 +699,16 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {value}")
         return value
 
     return parse
+
+
+# the largest lift-matrix --exponent and --twist-depth, where the call still
+# finishes in seconds: the order test of entry (i, j) grows with j - i
+LIFT_MATRIX_MAX = 8
 
 
 def build_parser():
@@ -762,11 +770,11 @@ def build_parser():
     p.add_argument("form", help='e.g. "1/(t*(t-1)) dt"')
 
     p = command("lift-matrix", "change-of-lifting matrix of an artinian quotient", tower)
-    p.add_argument("--exponent", type=_int_at_least(0), default=2,
-                   help="l in O_1/m^(l+1) (an integer >= 0)")
+    p.add_argument("--exponent", type=_int_at_least(0, LIFT_MATRIX_MAX), default=2,
+                   help=f"l in O_1/m^(l+1) (an integer in [0, {LIFT_MATRIX_MAX}])")
     p.add_argument("--twist-axis", type=int, default=2)
-    p.add_argument("--twist-depth", type=_int_at_least(0), default=2,
-                   help="truncation depth of the twisted lifting (an integer >= 0)")
+    p.add_argument("--twist-depth", type=_int_at_least(0, LIFT_MATRIX_MAX), default=2,
+                   help=f"truncation depth of the twisted lifting (an integer in [0, {LIFT_MATRIX_MAX}])")
 
     command("selftest", "run the acceptance suite", ("--seed",))
 

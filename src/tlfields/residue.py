@@ -240,11 +240,15 @@ def tate_residue_dim1(f, g, shift=0):
 
     pi projects onto t-exponents >= shift (the lattice t^shift O_1 along the
     standard complement); the commutator is supported on a finite band of
-    exponents, and its trace is independent of shift.  Windowed operands are
-    answered whenever the band's terms are guaranteed: pi(f t^m) is known
-    where f t^m is known and below shift, and InsufficientPrecision is raised
-    only when a coefficient of f g or of g pi(f t^m) that the trace needs lies
-    beyond its window.
+    exponents, and its trace is independent of shift.  The diagonal entry at
+    t^m is (pi(f g t^m) - g pi(f t^m))_m, which is (g pi_<(f t^m))_m for
+    m >= shift and -(g pi(f t^m))_m below it, pi_< the complementary
+    projection onto exponents < shift; it vanishes outside
+    [shift + min(v(g), 0), shift + max(-v(f), 0)).  Windowed operands are
+    answered whenever the band's terms are guaranteed: each projection of
+    f t^m is known where f t^m is known and on the side of shift it drops, and
+    InsufficientPrecision is raised only when a coefficient of g pi_<(f t^m)
+    or g pi(f t^m) that the trace needs lies beyond its window.
     """
     if f.depth != 1 or g.depth != 1:
         raise LocalFieldError("the commutator residue is one-dimensional")
@@ -253,24 +257,13 @@ def tate_residue_dim1(f, g, shift=0):
     field = f.field
     if f.is_exact_zero() or g.is_exact_zero():
         return field.base.zero
-    fg = f * g
-    spans = []
-    for x in (f, g, fg):
-        lo = x.order
-        hi = x.end if x.end is not None else x.order + len(x.coeffs)
-        spans.append((lo, hi))
-    width = max(abs(v) for span in spans for v in span) + 1
     acc = field.zero
-    for m in range(shift - width, shift + width + 1):
-        # coefficient at t^m of pi(f g t^m) - g pi(f t^m)
-        if m >= shift:
-            term1 = fg.coefficient_at((0,))
-        else:
-            term1 = field.zero
+    for m in range(shift + min(g.order, 0), shift + max(-f.order, 0)):
         shifted = _shift_level1(f, m)
-        projected = part_level1(shifted, shift)
-        term2 = (g * projected).coefficient_at((m,)) if not projected.is_exact_zero() else field.zero
-        acc = acc + term1 - term2
+        if m >= shift:
+            acc = acc + (g * part_level1(shifted, None, shift)).coefficient_at((m,))
+        else:
+            acc = acc - (g * part_level1(shifted, shift)).coefficient_at((m,))
     return ext_trace(acc)
 
 

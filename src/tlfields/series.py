@@ -77,7 +77,7 @@ are skipped and the accumulator is cut after every step, at every level.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .errors import (
     DivisionByZero,
@@ -406,21 +406,31 @@ class Series:
 
     def derivative(self, axis):
         """Termwise partial derivative along t_axis (1-based)."""
+        return self.divided_derivative(axis, 1)
+
+    def divided_derivative(self, axis, k):
+        """The divided-power derivative d^[k] along t_axis (1-based), termwise
+        t^b -> C(b, k) t^(b - k) for every integer b (Hasse and Schmidt, J.
+        Reine Angew. Math. 177, 1937).
+
+        k! d^[k] is the k-th derivative, so in characteristic p the p-th
+        derivative vanishes while d^[p] does not.  The window moves with the
+        exponents: a coefficient known at t^b gives the one at t^(b - k).
+        """
         if not 1 <= axis <= self.depth:
             raise LocalFieldError(f"axis {axis} outside 1..{self.depth}")
         if axis == 1:
-            out = []
-            for k, c in enumerate(self.coeffs):
-                e = self.order + k
-                out.append(c.scalar_mul(self.field.from_int(e)))
+            from_int = self.field.from_int
+            out = [c.scalar_mul(from_int(binomial(self.order + e, k)))
+                   for e, c in enumerate(self.coeffs)]
             return Series(
-                self.field, self.depth, order=self.order - 1, coeffs=out, exact=self.exact
+                self.field, self.depth, order=self.order - k, coeffs=out, exact=self.exact
             )
         return Series(
             self.field,
             self.depth,
             order=self.order,
-            coeffs=tuple(c.derivative(axis - 1) for c in self.coeffs),
+            coeffs=tuple(c.divided_derivative(axis - 1, k) for c in self.coeffs),
             exact=self.exact,
         )
 
@@ -519,6 +529,11 @@ class Series:
 # ---------------------------------------------------------------------------
 # free functions forming the operation surface
 # ---------------------------------------------------------------------------
+
+
+def binomial(b, k):
+    """C(b, k) = b (b - 1) ... (b - k + 1) / k! for any integer b and k >= 0."""
+    return comb(b, k) if b >= 0 else (-1) ** k * comb(k - b - 1, k)
 
 
 def _pad(values, offset, n, zero):

@@ -8,16 +8,13 @@ Series of depth n over the extension field k'.  The module provides:
   * systems of coefficient-field liftings, standard and derivation-twisted,
   * expansion of elements as sum_q sigma(b_q) a^q and its reassembly,
   * artinian quotients O_1/m_1^(l+1) and the change-of-lifting matrix
-    between two liftings of such a quotient, with each entry's
-    differential-operator order derived from the liftings and cross-checked
-    by the commutator filtration on probes.
+    between two liftings of such a quotient, each entry an explicit
+    differential operator whose order is derived from the liftings and
+    cross-checked by the commutator filtration on probes.
 """
 
-from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement, product
-from math import comb, prod
 
 from .errors import (
     BasisNotFiltered,
@@ -563,8 +560,11 @@ class LiftingMatrix:
     """The matrix relating coordinates of one lifting to another on A.
 
     Entry (i, j) is the operator gamma_{i,j} on k_1(A) defined by
-    sigma(b) m_i = sum_j sigma'(gamma_{i,j}(b)) m_j, stored as a plain
-    function that computes gamma_{i,j}(b) by the triangular solve.
+    sigma(b) m_i = sum_j sigma'(gamma_{i,j}(b)) m_j.  ``solve(i, b)`` is that
+    definition: it computes (gamma_{i,0}(b), ..., gamma_{i,l}(b)) by the
+    triangular solve in ascending t_1-degree.  ``entries[i][j]`` is gamma_{i,j}
+    as an explicit ``bt_ops.DiffOp`` fitted to the solve, so applying it costs
+    a few derivatives and products instead of a solve.
 
     ``orders[i][j]`` bounds the differential order of gamma_{i,j}, or is None
     where gamma_{i,j} is zero.  The bounds follow from the liftings'
@@ -592,16 +592,32 @@ class LiftingMatrix:
     sigma_0(b) = b, since both component-0 maps are the identity.  Hence the
     matrix is unit upper triangular (``unit_triangular``).
 
-    ``orders_hold`` and ``is_unit_upper_triangular`` replay these claims on
-    probes as a cross-check; the proof above is the certificate.
+    Fitting an entry on the monomials t^beta, beta >= 0 with |beta| <= d =
+    orders[i][j], is exact.  The continuous differential operators of order
+    <= d on k_1 are the k_1-span of the divided-power derivatives d^[alpha],
+    |alpha| <= d, in every characteristic, so gamma_{i,j} = sum a_alpha
+    d^[alpha].  Since d^[alpha] t^beta = C(beta, alpha) t^(beta - alpha) is
+    zero unless alpha <= beta and is 1 at alpha = beta, the values on the
+    monomials are unit triangular in the coefficients:
+    a_beta = gamma(t^beta) - sum_{alpha < beta} a_alpha C(beta, alpha) t^(beta - alpha),
+    solved in ascending |beta|.  Entries below the diagonal are the zero
+    operator, with no fit.
+
+    Two checks cross-check what the proof claims.  At construction, each fit is
+    held against the solve on the next layer, |beta| = d + 1, where
+    gamma - fit is exactly sum_{|alpha| = d + 1} a_alpha d^[alpha] of the true
+    operator; a difference raises LocalFieldError, so a wrong order bound
+    cannot hide inside an operator that is order-bounded by construction.
+    On probes, ``orders_hold`` and ``is_unit_upper_triangular`` replay the
+    commutator test and the triangular shape on the fitted entries.
     """
 
-    def __init__(self, quotient, sigma, sigma_prime, basis, entries):
+    def __init__(self, quotient, sigma, sigma_prime, basis, solve):
         self.quotient = quotient
         self.sigma = sigma
         self.sigma_prime = sigma_prime
         self.basis = basis
-        self.entries = entries
+        self.solve = solve
         self.rank = len(basis)
         self.orders = []
         for i in range(self.rank):
@@ -621,6 +637,36 @@ class LiftingMatrix:
         self.unit_triangular = all(
             self.orders[i][j] is None for i in range(self.rank) for j in range(i)
         )
+        self.entries = [self._fit_row(i) for i in range(self.rank)]
+
+    def _fit_row(self, i):
+        """Row i of the matrix as DiffOps fitted to the solve (see above); one
+        solve per monomial serves every entry of the row."""
+        from .bt_ops import DiffOp  # bt_ops imports this module
+
+        res = self.quotient.descriptor.residue_descriptor()
+        top = _most(self.orders[i])
+        monomials = {} if top is None else {
+            beta: res.monomial(beta) for beta in _exponents_up_to(res.n, top + 1)}
+        values = {beta: self.solve(i, m) for beta, m in monomials.items()}
+        row = []
+        for j, d in enumerate(self.orders[i]):
+            op = DiffOp(res, [])
+            # ascending |beta|: fit a_beta up to d, then check the layer d + 1
+            for beta, m in monomials.items():
+                if d is None or sum(beta) > d + 1:
+                    break
+                gap = values[beta][j] - op.apply(m)
+                if sum(beta) <= d:
+                    if not gap.is_exact_zero():
+                        op = DiffOp(res, op.terms + ((gap, beta),))
+                elif not gap.is_zero_within_window():
+                    raise LocalFieldError(
+                        f"change-of-lifting entry ({i}, {j}) is not of order <= {d}:"
+                        f" its fit differs from the triangular solve at t^{beta}"
+                    )
+            row.append(op)
+        return row
 
     def apply_to_coordinates(self, coords):
         """Transform sigma-coordinates into sigma'-coordinates."""
@@ -637,9 +683,9 @@ class LiftingMatrix:
     def neumann_inverse(self):
         """The inverse: the reverse change, sigma' -> sigma, on the same basis.
 
-        Coordinates in the quotient are unique, so this matrix of plain
-        functions equals the Neumann sum sum_k eps^k, eps = 1 - matrix
-        (finite, since eps is nilpotent).
+        Coordinates in the quotient are unique, so this matrix equals the
+        Neumann sum sum_k eps^k, eps = 1 - matrix (finite, since eps is
+        nilpotent).
         """
         return change_of_lifting_matrix(self.quotient, self.sigma_prime, self.sigma, self.basis)
 
@@ -668,6 +714,13 @@ class LiftingMatrix:
         return True
 
 
+def _exponents_up_to(m, d):
+    """Exponent vectors beta >= 0 in m variables with |beta| <= d, by ascending
+    |beta|, so every alpha < beta comes before beta."""
+    return sorted((b for b in product(range(d + 1), repeat=m) if sum(b) <= d),
+                  key=lambda b: (sum(b), b))
+
+
 def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=None):
     """Coordinates-change matrix between two liftings of an artinian quotient.
 
@@ -692,20 +745,17 @@ def change_of_lifting_matrix(quotient, sigma, sigma_prime, basis=None, window=No
     l = quotient.exponent
     inv_basis = [m.inv(w) for m in basis]
 
-    def entry(i, j):
-        def act(b):
-            # triangular solve of sigma(b) m_i = sum_j sigma'(c_j) m_j, ascending degrees
-            r = quotient.reduce(sigma.apply(b) * basis[i])
-            for jj in range(j):
-                cj = residue_level1(r * inv_basis[jj])
-                if not cj.is_exact_zero():
-                    r = r - quotient.reduce(sigma_prime.apply(cj) * basis[jj])
-            return residue_level1(r * inv_basis[j])
+    def solve(i, b):
+        # triangular solve of sigma(b) m_i = sum_j sigma'(c_j) m_j, ascending degrees
+        r = quotient.reduce(sigma.apply(b) * basis[i])
+        coords = []
+        for j in range(l + 1):
+            coords.append(residue_level1(r * inv_basis[j]))
+            if j < l and not coords[j].is_exact_zero():
+                r = r - quotient.reduce(sigma_prime.apply(coords[j]) * basis[j])
+        return coords
 
-        return act
-
-    entries = [[entry(i, j) for j in range(l + 1)] for i in range(l + 1)]
-    return LiftingMatrix(quotient, sigma, sigma_prime, basis, entries)
+    return LiftingMatrix(quotient, sigma, sigma_prime, basis, solve)
 
 
 def differential_order_bounded(op, order, probes, multipliers):
@@ -716,30 +766,34 @@ def differential_order_bounded(op, order, probes, multipliers):
     liftings, and the reference the tests hold those orders against; it proves
     no bound by itself.
 
-    Multiplications commute, so [..[op, a_1], ..., a_k] depends only on the
-    multiset {a_1, ..., a_k} and expands by inclusion-exclusion into
-    sum_S (-1)^(k-|S|) (prod_{i not in S} a_i) op(prod_{i in S} a_i x); equal
-    sub-multisets S are summed with their multiplicity, and op(a_S p) is
-    computed once per probe.
+    Multiplications commute, so C_T = [..[op, a_t1], ..., a_tk] depends only on
+    the multiset T.  Per probe p it runs the recurrence
+    C_{T+i}(a_S p) = C_T(a_{S+i} p) - a_i C_T(a_S p), C_0(a_S p) = op(a_S p),
+    memoised over the pairs (T, S) of sorted index tuples, with each a_S p
+    built from a_{S-last} p.  The multisets T of size order + 1 are tested in
+    lexicographic order, and the first that does not vanish ends the test.
     """
     k = order + 1
-
-    def times(x, i):
-        return multipliers[i] * x
-
     for p in probes:
-        images = {}  # sorted multiplier indices S -> op(a_S p)
-        for combo in combinations_with_replacement(range(len(multipliers)), k):
-            counts = Counter(combo)
-            total = Series.zero(p.field, p.depth)
-            for kept in product(*(range(c + 1) for c in counts.values())):
-                S = tuple(i for i, s in zip(counts, kept) for _ in range(s))
-                if S not in images:
-                    images[S] = op(reduce(times, S, p))
-                rest = [i for i, s in zip(counts, kept) for _ in range(counts[i] - s)]
-                multiplicity = prod(comb(c, s) for c, s in zip(counts.values(), kept))
-                term = reduce(times, rest, images[S])
-                total = total + term.scalar_mul((-1) ** len(rest) * multiplicity)
-            if not total.is_zero_within_window():
+        moved = {(): p}  # S -> a_S p
+        memo = {}  # (T, S) -> C_T(a_S p)
+
+        def times(S):
+            if S not in moved:
+                moved[S] = multipliers[S[-1]] * times(S[:-1])
+            return moved[S]
+
+        def commutator(T, S):
+            if (T, S) not in memo:
+                if T:
+                    rest, i = T[:-1], T[-1]
+                    memo[T, S] = (commutator(rest, tuple(sorted(S + (i,))))
+                                  - multipliers[i] * commutator(rest, S))
+                else:
+                    memo[T, S] = op(times(S))
+            return memo[T, S]
+
+        for T in combinations_with_replacement(range(len(multipliers)), k):
+            if not commutator(T, ()).is_zero_within_window():
                 return False
     return True

@@ -260,6 +260,64 @@ class TestCertify:
                     certify_membership(op, target)
 
 
+class TestDiffOpInCharP:
+    """DiffOp is sum a_I d^[I] in every characteristic."""
+
+    def test_divided_power_beyond_p(self, K1):
+        # d^[5] t^5 = 1 in characteristic 5, where the fifth derivative is zero
+        t = K1.gen(1)
+        assert DiffOp(K1, [(K1.one(), (5,))]).apply(t ** 5) == K1.one()
+        assert DiffOp(K1, [(K1.one(), (1,))]).apply(t ** 5).is_exact_zero()
+
+    def test_divided_power_in_char0(self, Q):
+        # in characteristic 0, d^[I] is d^I / I!
+        K = TlfDescriptor(2, Q)
+        t1, t2 = K.gens()
+        x = t1 ** 3 * t2 ** -2 + t2 ** 4
+        op = DiffOp(K, [(K.one(), (2, 3))])
+        y = x
+        for axis, k in ((1, 2), (2, 3)):
+            for _ in range(k):
+                y = y.derivative(axis)
+        assert op.apply(x) == y.scalar_mul(Q.from_fraction(Fraction(1, 2 * 6)))
+
+    def test_level1_certificates_as_in_char0(self, K1, Q):
+        K0 = TlfDescriptor(1, Q)
+        d, d0 = DiffOp.partial(K1, 1), DiffOp.partial(K0, 1)
+        cert = certify_membership(d, "E")
+        assert cert.band == 1
+        assert cert.replay(probes(K1, random.Random(5)))
+        for target in [(1, 1), (1, 2)]:
+            with pytest.raises(NotCertifiable) as ei:
+                certify_membership(d, target)
+            with pytest.raises(NotCertifiable) as ei0:
+                certify_membership(d0, target)
+            assert ei.value.reason == ei0.value.reason
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("target", [(2, 1), (2, 2)])
+    def test_level1_order_refused_at_deeper_targets_by_name(self, p, target):
+        K = TlfDescriptor(2, make_extension(p, [0, 1]))
+        t2 = K.gen(2)
+        for op in [DiffOp.partial(K, 1), DiffOp(K, [(t2, (0, 1)), (K.one(), (2, 0))]),
+                   Compose([MulBy(K, t2), DiffOp.partial(K, 1)])]:
+            with pytest.raises(NotCertifiable) as ei:
+                certify_membership(op, target)
+            assert "C(q, " in ei.value.reason and f"mod {p}" in ei.value.reason
+            assert "diff(" in ei.value.reason.split(":")[0]
+
+    def test_inner_derivative_pushes_down_in_char_p(self, F5, Q):
+        # d_2 has level-1 order 0: its pushdown is the one entry d on K_1, which
+        # answers as in characteristic 0
+        reasons = []
+        for field in (F5, Q):
+            with pytest.raises(NotCertifiable) as ei:
+                certify_membership(DiffOp.partial(TlfDescriptor(2, field), 2), (2, 1))
+            reasons.append(ei.value.reason)
+        assert reasons[0] == reasons[1]
+        assert "image admits no level-1 lattice bound" in reasons[0]
+
+
 class TestJson:
     def test_round_trip_every_node(self, K2):
         field = K2.field

@@ -104,6 +104,9 @@ class TestCommands:
             (["--window", "3", "--char", "5", "inv(1-t1)", "t1^-2"], '{"value":"3","window_used":3}'),
         ]:
             assert run_cli(capsys, "tate-residue", *argv) == (0, out)
+        # f = t1^-1 + O(t1^0) with g = 1 + t1: res(f dg) = f_-1 needs no f_0
+        assert run_cli(capsys, "tate-residue", "--window", "1", "t1^-1*inv(1-t1)", "1+t1") == (
+            0, '{"value":"1","window_used":1}')
         # t1^-3 needs f_3, which the window does not reach
         code, out = run_cli(capsys, "tate-residue", "--window", "3", "inv(1-t1)", "t1^-1+t1^-3")
         assert code == 3
@@ -120,6 +123,16 @@ class TestCommands:
         assert data["locals"]["t"] == "-1"
         assert data["locals"]["-1 + t"] == "1"
         assert data["locals"]["infinity"] == "0"
+
+    def test_certify_derivative_in_char_p(self, capsys):
+        # d1 is d^[1] in every characteristic: char 5 answers as char 0 at level 1
+        out = '{"band":1,"certified":true,"replayed":true,"target":"E"}'
+        assert run_cli(capsys, "certify", "--n", "1", "--char", "5", "--target", "E", "d1") == (0, out)
+        for target in ("1,1", "1,2"):
+            char0 = run_cli(capsys, "certify", "--n", "1", "--char", "0", "--target", target, "d1")
+            char5 = run_cli(capsys, "certify", "--n", "1", "--char", "5", "--target", target, "d1")
+            assert char5 == char0
+            assert char5[0] == 4 and json.loads(char5[1])["certified"] is False
 
     def test_certify_mul(self, capsys):
         code, out = run_cli(capsys, "certify", "--n", "1", "mul(t1^-1)")
@@ -197,6 +210,22 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--twist-depth" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--exponent", "--twist-depth"])
+    def test_lift_matrix_flags_bounded_above(self, capsys, flag):
+        with pytest.raises(SystemExit) as ei:
+            main(["lift-matrix", "--n", "2", flag, "9"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be an integer <= 8, got 9" in captured.err
+        args = cli.PARSER.parse_args(["lift-matrix", flag, "8"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 8
+
+    def test_lift_matrix_char_p_orders_beyond_p(self, capsys):
+        # entry (0, 4) has order 4 >= 3: a divided power d^[3] or d^[4] in char 3
+        assert run_cli(capsys, "lift-matrix", "--n", "2", "--char", "3", "--exponent", "4") == (
+            0, '{"neumann_identity":true,"orders_certified":true,"rank":5,"unit_triangular":true}')
 
     def test_negative_exponent_rejected_at_parsing(self, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -394,6 +394,22 @@ class TestTateResidue:
             assert value == tate_residue_dim1(f, g, shift=shift)
             answered += 1
         assert answered >= 100 and refused >= 100
+        # with g exact, the trace reads f below t^0, and up to t^-v(g) when
+        # v(g) < 0; f g is never formed, so an f known that far is answered
+        for _ in range(300):
+            f = random_series(field, 1, rng, max_terms=4, exp_span=4)
+            g = random_series(field, 1, rng, max_terms=4, exp_span=4)
+            if f.is_exact_zero() or g.is_exact_zero():
+                continue
+            shift = rng.randint(-4, 4)
+            f_win = truncate_level1(f, f.order + rng.randint(0, 8))
+            need = 0 if g.order >= 0 else 1 - g.order
+            try:
+                value = tate_residue_dim1(f_win, g, shift=shift)
+            except InsufficientPrecision:
+                assert f_win.end < need
+                continue
+            assert value == tate_residue_dim1(f, g, shift=shift)
 
 
 class TestCounterexample:

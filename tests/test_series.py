@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -594,6 +595,60 @@ class TestWindowSoundness:
             return
         self._compare(inv_win, x_full.inv(12))
 
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_divided_derivative(self, field, depth):
+        for _, x_full, x_win in self._cuts(field, depth, 200 + depth, 20):
+            for axis in range(1, depth + 1):
+                for k in range(7):
+                    self._compare(x_win.divided_derivative(axis, k),
+                                  x_full.divided_derivative(axis, k))
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_lifting(self, field, depth):
+        """LiftingSpec.apply, standard and twisted, of a cut operand and with a
+        cut twist coefficient."""
+        from tlfields.tlf import LiftingSpec
+
+        top = 3 if field.char == 0 else min(3, field.char - 1)
+        for rng, x_full, x_win in self._cuts(field, depth, 210 + depth, 12):
+            c_full = random_series(field, depth, rng, max_terms=2, exp_span=1)
+            if c_full.is_exact_zero():
+                c_full = Series.one(field, depth)
+            c_win = truncate_level1(c_full, c_full.order + rng.randint(1, 3))
+            axis, d = rng.randint(2, depth + 1), rng.randint(0, top)
+            twist, twist_win = (LiftingSpec(1, "twisted", axis=axis, c=c, depth=d)
+                                for c in (c_full, c_win))
+            self._compare(LiftingSpec(1).apply(x_win), LiftingSpec(1).apply(x_full))
+            self._compare(twist.apply(x_win), twist.apply(x_full))
+            self._compare(twist_win.apply(x_full), twist.apply(x_full))
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_sigma_expansion(self, field, depth):
+        """sigma_expand of a cut operand, under standard and twisted liftings and
+        uniformizers t_1, t_1 + t_1^2, t_1 (1 + t_n); an exact zero b_q is left
+        out of the expansion, so up to the last q the wider expansion reaches,
+        a missing q is a zero."""
+        from tlfields.tlf import LiftingSpec, sigma_expand
+
+        t = [Series.generator(field, depth, i) for i in range(1, depth + 1)]
+        uniformizers = [None, t[0] + t[0] * t[0], t[0] * (Series.one(field, depth) + t[-1])]
+        top = 2 if field.char == 0 else min(2, field.char - 1)
+        zero = Series.zero(field, depth - 1)
+        for rng, x_full, x_win in self._cuts(field, depth, 220 + depth, 12):
+            sigma = LiftingSpec(1)
+            if depth > 1 and rng.random() < 0.5:
+                sigma = LiftingSpec(1, "twisted", axis=rng.randint(2, depth),
+                                    depth=rng.randint(1, top))
+            a1 = rng.choice(uniformizers)
+            win = dict((q, b) for b, q in sigma_expand(x_win, sigma, a1, window=6))
+            full = dict((q, b) for b, q in sigma_expand(x_full, sigma, a1, window=10))
+            for q, b in win.items():
+                if q <= max(full, default=q - 1):
+                    self._compare(b, full.get(q, zero))
+
 
 def _by_exponent(x):
     return {x.order + k: c for k, c in enumerate(x.coeffs)}
@@ -610,6 +665,70 @@ def _assert_coefficients(result, reference, zero):
     hi = result.end if result.end is not None else max(exps) + 2
     for k in range(min(exps) - 2, hi):
         assert result.coefficient_at((k,)) == reference.get(k, zero), k
+
+
+class TestDividedDerivative:
+    """d^[k] t^b = C(b, k) t^(b - k) along one axis (Series.divided_derivative)."""
+
+    @staticmethod
+    def _cases(field, depth, seed, count=12):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield (rng, random_series(field, depth, rng, max_terms=4, exp_span=3),
+                   rng.randint(1, depth))
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_termwise_definition(self, field, depth):
+        for _, x, axis in self._cases(field, depth, 230 + depth):
+            for k in range(7):
+                want = {}
+                for idx, c in x.known_terms():
+                    b = idx[axis - 1]
+                    moved = idx[:axis - 1] + (b - k,) + idx[axis:]
+                    want[moved] = c * field.from_int(series_module.binomial(b, k))
+                assert x.divided_derivative(axis, k) == S(field, depth, want)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_leibniz_rule(self, field, depth):
+        # d^[k](x y) = sum_{i + j = k} d^[i] x d^[j] y
+        for rng, x, axis in self._cases(field, depth, 240 + depth):
+            y = random_series(field, depth, rng, max_terms=3, exp_span=3)
+            for k in range(6):
+                total = Series.zero(field, depth)
+                for i in range(k + 1):
+                    total = total + x.divided_derivative(axis, i) * y.divided_derivative(axis, k - i)
+                assert (x * y).divided_derivative(axis, k) == total
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_composition(self, field, depth):
+        # d^[a] d^[b] = C(a + b, a) d^[a + b], and k! d^[k] is d applied k times
+        for _, x, axis in self._cases(field, depth, 250 + depth):
+            for a in range(5):
+                for b in range(5):
+                    assert x.divided_derivative(axis, b).divided_derivative(axis, a) == (
+                        x.divided_derivative(axis, a + b).scalar_mul(math.comb(a + b, a)))
+            repeated = x
+            for k in range(6):
+                assert repeated == x.divided_derivative(axis, k).scalar_mul(math.factorial(k))
+                repeated = repeated.derivative(axis)
+            assert x.derivative(axis) == x.divided_derivative(axis, 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_char_p(self, p):
+        # the p-th derivative vanishes, the divided power d^[p] does not
+        field = make_extension(p, [0, 1])
+        t = Series.generator(field, 2, 2)
+        x = (t ** p) * (Series.one(field, 2) + Series.generator(field, 2, 1))
+        repeated = x
+        for _ in range(p):
+            repeated = repeated.derivative(2)
+        assert repeated.is_exact_zero()
+        assert x.divided_derivative(2, p) == Series.one(field, 2) + Series.generator(field, 2, 1)
+        assert Series.monomial(field, 1, (-1,)).divided_derivative(1, p) == Series.monomial(
+            field, 1, (-1 - p,), field.from_int(-1) ** p)
 
 
 class TestDepthOneKernels:

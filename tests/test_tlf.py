@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlfields.bt_ops import DiffOp
 from tlfields.errors import CharacteristicObstruction, LocalFieldError, NotUniformizers
 from tlfields.scalars import make_extension
 from tlfields.series import Series, agree_within_window, random_series, truncate_level1
@@ -333,6 +337,34 @@ def _nested_commutator_reference(op, order, probes, multipliers):
     return check(op, order + 1)
 
 
+def _inclusion_exclusion_reference(op, order, probes, multipliers):
+    """The commutator test by inclusion-exclusion: [..[op, a_1], ..., a_k]
+    expands into sum_S (-1)^(k-|S|) (prod_{i not in S} a_i) op(prod_{i in S} a_i x),
+    equal sub-multisets S summed with their multiplicity and op(a_S p)
+    computed once per probe."""
+    k = order + 1
+
+    def times(x, i):
+        return multipliers[i] * x
+
+    for p in probes:
+        images = {}  # sorted multiplier indices S -> op(a_S p)
+        for combo in combinations_with_replacement(range(len(multipliers)), k):
+            counts = Counter(combo)
+            total = Series.zero(p.field, p.depth)
+            for kept in product(*(range(c + 1) for c in counts.values())):
+                S = tuple(i for i, s in zip(counts, kept) for _ in range(s))
+                if S not in images:
+                    images[S] = op(reduce(times, S, p))
+                rest = [i for i, s in zip(counts, kept) for _ in range(counts[i] - s)]
+                multiplicity = prod(comb(c, s) for c, s in zip(counts.values(), kept))
+                term = reduce(times, rest, images[S])
+                total = total + term.scalar_mul((-1) ** len(rest) * multiplicity)
+            if not total.is_zero_within_window():
+                return False
+    return True
+
+
 def _lifting_pair(forward):
     std = LiftingSpec(1)
     twist = LiftingSpec(1, "twisted", axis=2, depth=2)
@@ -361,6 +393,7 @@ class TestChangeOfLiftingRewrite:
                     entry = mat.entries[i][j]
                     expected = _nested_commutator_reference(entry, order, probes, mults)
                     assert differential_order_bounded(entry, order, probes, mults) == expected
+                    assert _inclusion_exclusion_reference(entry, order, probes, mults) == expected
                     seen.add(expected)
         assert seen == {True, False}
 
@@ -474,3 +507,158 @@ class TestDerivedOrders:
                 assert not mat.orders_hold(probes, mults)
                 mat.orders[i][j] = right
         assert mat.orders_hold(probes, mults)
+
+
+ENTRY_FIELDS = [make_extension(char, [0, 1]) for char in (0, 3, 5)]
+ENTRY_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def _k1_element(draw, field, m, max_size=2):
+    """A random exact nonzero element of k_1 = k((t_2, ..., t_n)), m = n - 1."""
+    exps = st.tuples(*[st.integers(-1, 1)] * m)
+    return Series.from_terms(field, m, draw(st.dictionaries(
+        exps, _nonzero(field), min_size=1, max_size=max_size)))
+
+
+@st.composite
+def _lifting_case(draw, n, l):
+    """A change-of-lifting matrix of O_1/m^(l+1) at dimension n over Q, F_3 or
+    F_5: the standard basis or a random filtered one (m_i a unit times t1^i
+    plus up to two terms of higher t1-degree), and a twisted lifting of depth
+    0..min(3, p - 1) along a random axis with a random coefficient, on either
+    side; and a seed for the probes."""
+    field = draw(st.sampled_from(ENTRY_FIELDS))
+    K = TlfDescriptor(n, field)
+    basis = None
+    if draw(st.booleans()):
+        basis = []
+        for i in range(l + 1):
+            unit = _k1_element(draw, field, n - 1, max_size=1)
+            terms = {(i,) + e: c for e, c in unit.known_terms()}
+            higher = st.tuples(st.integers(i + 1, l + 1), *[st.integers(-1, 1)] * (n - 1))
+            terms.update(draw(st.dictionaries(higher, _nonzero(field), max_size=2)))
+            basis.append(K.from_terms(terms))
+    top = 3 if field.char == 0 else min(3, field.char - 1)
+    twist = LiftingSpec(1, "twisted", axis=draw(st.integers(2, n)),
+                        c=_k1_element(draw, field, n - 1), depth=draw(st.integers(0, top)))
+    pair = (LiftingSpec(1), twist) if draw(st.booleans()) else (twist, LiftingSpec(1))
+    return ArtinianQuotient(K, l), pair, basis, draw(st.integers(0, 2 ** 16))
+
+
+class TestFittedEntries:
+    """Entries as DiffOps fitted to the triangular solve, which stays the
+    reference: LiftingMatrix.solve."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    @ENTRY_PROPERTY
+    @given(data=st.data())
+    def test_entries_equal_the_solve(self, n, l, data):
+        A, pair, basis, seed = data.draw(_lifting_case(n, l))
+        mat = change_of_lifting_matrix(A, *pair, basis=basis)
+        res = A.descriptor.residue_descriptor()
+        rng = random.Random(seed)
+        probes = []
+        while len(probes) < 4:
+            p = random_series(res.field, res.n, rng, max_terms=3, exp_span=2)
+            if not p.is_exact_zero():
+                probes += [p, truncate_level1(p, p.order + rng.randint(1, 3))]
+        for p in probes:
+            for i in range(mat.rank):
+                coords = mat.solve(i, p)
+                for j in range(mat.rank):
+                    entry = mat.entries[i][j]
+                    assert isinstance(entry, DiffOp)
+                    assert agree_within_window(entry(p), coords[j]), (i, j, p)
+                    if mat.orders[i][j] is None:
+                        assert entry.terms == ()
+                    else:
+                        assert all(sum(I) <= mat.orders[i][j] for _, I in entry.terms)
+
+    @pytest.mark.parametrize("field", ENTRY_FIELDS[1:], ids=["F3", "F5"])
+    def test_closed_form_in_char_p(self, field):
+        # gamma_{0,n} = (-c d)^n / n! = (-c)^n d^[n] for a constant c, order
+        # n >= p included: one divided-power term
+        A = ArtinianQuotient(TlfDescriptor(2, field), 4)
+        c = field.from_int(2)
+        twist = LiftingSpec(1, "twisted", axis=2, c=Series.constant(field, 1, c),
+                            depth=field.char - 1)
+        mat = change_of_lifting_matrix(A, LiftingSpec(1), twist)
+        for n in range(field.char):
+            (coefficient, I), = mat.entries[0][n].terms
+            assert I == (n,) and coefficient == Series.constant(field, 1, (-c) ** n)
+
+    def test_wrong_order_bound_raises(self, Q, monkeypatch):
+        # claim every twisted component of order 0: entry (0, 1), of order 1,
+        # then disagrees with the solve on the layer |beta| = 1
+        monkeypatch.setattr(LiftingSpec, "component_order", lambda self, k: (
+            0 if k == 0 or (not self.is_standard() and k <= self.depth) else None))
+        A = ArtinianQuotient(TlfDescriptor(2, Q), 2)
+        twist = LiftingSpec(1, "twisted", axis=2, depth=2)
+        with pytest.raises(LocalFieldError, match=r"entry \(0, 1\) is not of order <= 0"):
+            change_of_lifting_matrix(A, LiftingSpec(1), twist)
+
+
+ORDER_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _operator_of_order(draw):
+    """A random exact DiffOp of order exactly d = 1..3 on k((t1)) or
+    k((t1, t2)) over Q, F_3 or F_5: one term of order d with a nonzero
+    coefficient, and up to two of lower order."""
+    field = draw(st.sampled_from(ENTRY_FIELDS))
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
+    first = draw(st.integers(0, d)) if n == 2 else d
+    lead = (first, d - first)[:n]
+    lower = st.tuples(*[st.integers(0, d - 1)] * n).filter(lambda I: sum(I) < d)
+    orders = [lead] + draw(st.lists(lower, max_size=2))
+    K = TlfDescriptor(n, field)
+    return DiffOp(K, [(_k1_element(draw, field, n), I) for I in orders]), d
+
+
+class TestCommutatorRecurrence:
+    """differential_order_bounded against the inclusion-exclusion it replaced."""
+
+    @ORDER_PROPERTY
+    @given(_operator_of_order())
+    def test_order_exactly_and_one_above(self, case):
+        op, d = case
+        K = op.descriptor
+        t = K.gens()
+        probes = [K.one(), t[-1], t[0].inv() + t[-1] * t[-1]]
+        mults = [t[0], t[-1], K.one() + t[0] * t[-1]]
+        for order, expected in ((d, True), (d - 1, False)):
+            assert differential_order_bounded(op, order, probes, mults) is expected
+            assert _inclusion_exclusion_reference(op, order, probes, mults) is expected
+
+    @pytest.mark.parametrize("order, images, nodes", [(0, 4, 3), (1, 10, 15), (2, 20, 45)])
+    def test_evaluation_counts(self, Q, monkeypatch, order, images, nodes):
+        """With 3 multipliers and k = order + 1: op runs once on each a_S p,
+        |S| <= k, that is C(3 + k, k) times, each a_S p costs one product, and
+        each memoised node (T, S) one product and one difference.  The
+        inclusion-exclusion took 84 products and 56 sums at order 2."""
+        t, one = Series.generator(Q, 1, 1), Series.one(Q, 1)
+        mults = [t, t * t, one + t]
+        counts = Counter()
+
+        def counting(name):
+            method = getattr(Series, name)
+
+            def wrapped(self, other):
+                counts[name] += 1
+                return method(self, other)
+
+            return wrapped
+
+        for name in ("__mul__", "__sub__"):
+            monkeypatch.setattr(Series, name, counting(name))
+
+        def op(x):
+            counts["op"] += 1
+            return x.divided_derivative(1, order)
+
+        assert differential_order_bounded(op, order, [one + t.inv()], mults)
+        assert counts == {"op": images, "__sub__": nodes, "__mul__": nodes + images - 1}
+        assert images == comb(3 + order + 1, order + 1)
