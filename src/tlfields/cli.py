@@ -691,13 +691,14 @@ def cmd_selftest(args):
 
 
 def _int_at_least(low, high=None):
-    """An argparse type for an integer >= low, and <= high when one is given."""
+    """An argparse type for an integer >= low when low is not None, and <= high
+    when high is not None."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {value}")
@@ -709,6 +710,10 @@ def _int_at_least(low, high=None):
 # the largest lift-matrix --exponent and --twist-depth, where the call still
 # finishes in seconds: the order test of entry (i, j) grows with j - i
 LIFT_MATRIX_MAX = 8
+# the largest lift-matrix --n: the entries' fit runs over the monomials in
+# n - 1 variables, so with --exponent 8 the call takes about 5 s at n = 4 and
+# 10 s at n = 6; --n below 2 stays a domain error (exit 4)
+LIFT_MATRIX_MAX_N = 4
 
 
 def build_parser():
@@ -734,10 +739,11 @@ def build_parser():
     # what a command on a tower K reads
     tower = ("--char", "--ext-poly", "--n", "--window", "--pretty")
 
-    def command(name, summary, flags):
+    def command(name, summary, flags, specs=None):
+        # specs: the command's own spec of a shared flag, by flag
         p = sub.add_parser(name, help=summary)
         for flag in flags:
-            p.add_argument(flag, **shared[flag])
+            p.add_argument(flag, **(specs or {}).get(flag, shared[flag]))
         return p
 
     p = command("residue", "residue of a top-degree form", tower)
@@ -769,7 +775,10 @@ def build_parser():
     p = command("global-sum", "sum of residues of a rational form on P^1", ("--char", "--pretty"))
     p.add_argument("form", help='e.g. "1/(t*(t-1)) dt"')
 
-    p = command("lift-matrix", "change-of-lifting matrix of an artinian quotient", tower)
+    p = command("lift-matrix", "change-of-lifting matrix of an artinian quotient", tower, {
+        "--n": dict(shared["--n"], type=_int_at_least(None, LIFT_MATRIX_MAX_N),
+                    help=f"dimension of the tower (at most {LIFT_MATRIX_MAX_N})"),
+    })
     p.add_argument("--exponent", type=_int_at_least(0, LIFT_MATRIX_MAX), default=2,
                    help=f"l in O_1/m^(l+1) (an integer in [0, {LIFT_MATRIX_MAX}])")
     p.add_argument("--twist-axis", type=int, default=2)

@@ -22,8 +22,12 @@ from .errors import (
     SingularMatrix,
 )
 from .scalars import mat_mul, mat_vec, row_reduce
-from .series import Series, part_level1, valuation_info
+from .series import DEFAULT_WINDOW, Series, part_level1, valuation_info
 from .tlf import sigma_expand
+
+
+# The widest unit-inverse window a normal form of exact generators retries on.
+_NORMAL_FORM_MAX_WINDOW = 8 * DEFAULT_WINDOW
 
 
 def _entry_nonnegative(e):
@@ -152,14 +156,29 @@ def standard_lattice(descriptor, rank, i=0):
 
 
 def lattice_normal_form(descriptor, generators, window=None):
-    """Normalize a nonsingular generator matrix (columns generate the lattice)."""
+    """Normalize a nonsingular generator matrix (columns generate the lattice).
+
+    window is the number of coefficients of each unit inverse, None for
+    DEFAULT_WINDOW.  With None and generators exact at every level, a pivot
+    that window cannot determine is sought again on twice as many
+    coefficients, up to _NORMAL_FORM_MAX_WINDOW: the normal form is unique,
+    so only a refusal of the narrower window can change.
+    """
     r = len(generators)
     for row in generators:
         if len(row) != r:
             raise LocalFieldError("generator matrix must be square")
-    hnf = _column_hermite(descriptor, [row[:] for row in generators], window)
-    divisors, unit = _smith(descriptor, [row[:] for row in generators], window)
-    return Lattice(descriptor, hnf, divisors, unit)
+    retry = window is None and all(e.smallest_unknown_index() is None
+                                   for row in generators for e in row)
+    while True:
+        try:
+            hnf = _column_hermite(descriptor, [row[:] for row in generators], window)
+            divisors, unit = _smith(descriptor, [row[:] for row in generators], window)
+            return Lattice(descriptor, hnf, divisors, unit)
+        except InsufficientPrecision:
+            window = 2 * (window or DEFAULT_WINDOW)
+            if not retry or window > _NORMAL_FORM_MAX_WINDOW:
+                raise
 
 
 def _column_hermite(descriptor, M, window):

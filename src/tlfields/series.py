@@ -54,10 +54,22 @@ by the product of the two lcms over QQ).
 
 Smaller products, and operands so sparse that the packed box would hold more
 than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep the
-coefficientwise convolution.
+coefficientwise convolution.  At depth 1 it runs on integer coordinates, in
+the fraction-free style of J. von zur Gathen and J. Gerhard, *Modern Computer
+Algebra*: each operand is cleared once to integer coordinates over one common
+denominator (as for packing; over F_p they are ints already), each output
+index sums its products unreduced in 2d - 1 integer slots, and is then folded
+and reduced once through the field's fold table -- one ``Fraction`` per
+coordinate over QQ, one ``% p`` over F_p.  Deeper, the entries are series and
+the convolution adds their products.
 
 The inverse runs the recurrence out[k] = -d0 * sum_i c[i] * out[k - i], d0
-being the inverse of c[0].  At depth >= 2, when at least ``_PACK_MIN_COEFFS``
+being the inverse of c[0].  At depth 1 it runs on integer coordinates too (op.
+cit., 9.1): with c[1:] cleared to integer vectors C_i over one denominator D,
+d0 / D = U / E and F the fold table's denominator, out[k] is N_k / (E^(k+1)
+F^(2k)) for integer vectors N_k that the recurrence gives from one another
+through products folded by the integer table; only the w outputs are built as
+scalars (see _invert_scalars).  At depth >= 2, when at least ``_PACK_MIN_COEFFS``
 level-1 coefficients are not exact zeros, it runs on packed rows: every
 depth-(n-1) coefficient c[i], -d0 and out[k] is packed once, in one layout of
 slots per level below the top and one slot width.  Each sum is accumulated
@@ -67,8 +79,8 @@ product shapes, in the order the recurrence adds them); out[k] is the product
 of -d0 with that sum, packed, read back the same way.  Shapes and values are
 the recurrence's, by the argument above.  The box and the width come from the
 spans and the bound of each step's pairs: when a step needs more, they grow
-and the rows are packed again.  Depth 1 and sparser operands keep the
-coefficientwise recurrence.
+and the rows are packed again.  Sparser operands at depth >= 2 keep the
+coefficientwise recurrence on series entries.
 
 Substitution t_i -> a_i runs Horner's rule in t_1, recursing into the inner
 levels, only below the level-1 end its result keeps: b_1 + 1, for the lex-least
@@ -341,9 +353,9 @@ class Series:
         coefficient c0 inverts to c0^-1 * t_1^-order, exact at level 1.  Else the
         coefficients come from the recurrence out[k] = -d0 * sum c[i] out[k-i],
         d0 being the inverse of c0 (on ``window`` at the levels below); at
-        depth >= 2, with at least ``_PACK_MIN_COEFFS`` level-1 coefficients
-        that are not exact zeros, it runs on packed rows (see the module
-        docstring).
+        depth 1 on integer coordinates, and at depth >= 2, with at least
+        ``_PACK_MIN_COEFFS`` level-1 coefficients that are not exact zeros, on
+        packed rows (see the module docstring).
         """
         if window is not None:
             check_window(window)
@@ -545,8 +557,47 @@ def _pad(values, offset, n, zero):
     return row
 
 
+def _coordinates(scalars, field):
+    """(values, den): the coordinates of scalars as integers over one common
+    denominator den (1 over F_p); at degree 1 each value is the scalar's one
+    coordinate, at degree d a list of its d coordinates."""
+    d = field.degree
+    if d == 1:
+        values = [s.coeffs[0] for s in scalars]
+        return (values, 1) if field.char else _clear_denominators(values)
+    if field.char:
+        return [s.coeffs for s in scalars], 1
+    values, den = _clear_denominators([c for s in scalars for c in s.coeffs])
+    return [values[i:i + d] for i in range(0, len(values), d)], den
+
+
+def _accumulate(slots, x, y):
+    """Add the polynomial product of coordinate lists x and y to slots."""
+    for e, v in enumerate(x):
+        if v:
+            for f, u in enumerate(y, e):
+                slots[f] += v * u
+
+
+def _fold_product(field, c):
+    """fold_den times (sum c[e] x^e mod m), for 2d - 1 integers c, as d
+    integers: the high coordinates fold through the field's integer table."""
+    d, scale = field.degree, field._fold_den
+    low = c[:d] if scale == 1 else [scale * v for v in c[:d]]
+    for v, row in zip(c[d:], field._fold):
+        if v:
+            for k, r in enumerate(row):
+                low[k] += v * r
+    return low
+
+
 def _convolve(a, b, n, zero):
-    """The first n coefficients of the product of coefficient lists a and b."""
+    """The first n coefficients of the product of coefficient lists a and b.
+
+    Scalar entries (depth 1) run on integer coordinates: each output sums its
+    products unreduced and is reduced once (see the module docstring)."""
+    if not zero.depth:
+        return _convolve_scalars(a, b, n, zero)
     acc = [zero] * n
     b_nonzero = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero()]
     for i, x in enumerate(a[:n]):
@@ -557,6 +608,39 @@ def _convolve(a, b, n, zero):
                 break
             acc[i + j] = acc[i + j] + x * y
     return acc
+
+
+def _convolve_scalars(a, b, n, zero):
+    """_convolve for ExtScalar entries: both operands cleared once to integer
+    coordinates, each output summed unreduced over its pairs and reduced once
+    over the product of the two denominators; zero where no pair lands or the
+    sum vanishes."""
+    field = zero.field
+    xs, dx = _coordinates(a[:n], field)
+    ys, dy = _coordinates(b[:n], field)
+    den, p = dx * dy, field.char
+    if field.degree == 1:
+        acc = [0] * n
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in ys:
+                    if i + j >= n:
+                        break
+                    acc[i + j] += x * y
+        return [ExtScalar(field, (v % p if p else Fraction(v, den),)) if v else zero
+                for v in acc]
+    acc = [None] * n
+    ys = [(j, y) for j, y in enumerate(ys) if any(y)]
+    for i, x in enumerate(xs):
+        for j, y in ys if any(x) else ():
+            k = i + j
+            if k >= n:
+                break
+            if acc[k] is None:
+                acc[k] = [0] * (2 * field.degree - 1)
+            _accumulate(acc[k], x, y)
+    return [zero if s is None else field._reduce(s, den) for s in acc]
 
 
 def _is_monomial(x):
@@ -836,7 +920,10 @@ def _kronecker_product(x, y):
 
 
 def _invert(c, d0, w, zero):
-    """The first w coefficients of 1 / sum c[k] t^k, given d0 = 1 / c[0]."""
+    """The first w coefficients of 1 / sum c[k] t^k, given d0 = 1 / c[0]; for
+    scalar entries (depth 1) on integer coordinates (see _invert_scalars)."""
+    if not zero.depth:
+        return _invert_scalars(c, d0, w)
     out = [d0]
     c_nonzero = [(i, x) for i, x in enumerate(c) if i and not x.is_exact_zero()]
     for k in range(1, w):
@@ -846,6 +933,60 @@ def _invert(c, d0, w, zero):
                 break
             s = s + x * out[k - i]
         out.append(-(d0 * s))
+    return out
+
+
+def _invert_scalars(c, d0, w):
+    """_invert for ExtScalar entries, fraction-free (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 9.1).
+
+    Clear c[1:] to integer vectors C_i over one denominator D, and write
+    u = d0 / D = U / E with U integer; F is the field's fold_den and A (x) B
+    the product of integer vectors folded by the integer table, so that
+    A (x) B = F * (A B mod m).  Then out[k] = N_k / (E^(k+1) F^(2k)), with
+    N_0 = D U and N_k = -U (x) sum_i C_i (x) N_(k-i) (E F^2)^(i-1); over F_p,
+    where D = E = F = 1, each N_k is kept reduced mod p.  Only the outputs
+    are built as scalars.
+    """
+    field = d0.field
+    d, p = field.degree, field.char
+    C, D = _coordinates(c[1:w], field)
+    if d == 1:
+        u = d0.coeffs[0] if p else d0.coeffs[0] / D
+        U, E = (u, 1) if p else (u.numerator, u.denominator)
+        N = [U * D]
+    else:
+        U, E = (list(d0.coeffs), 1) if p else _clear_denominators([v / D for v in d0.coeffs])
+        N = [[v * D for v in U]]
+    step = E * field._fold_den ** 2
+    terms, scale = [], 1
+    for i, x in enumerate(C, 1):
+        if x if d == 1 else any(x):
+            terms.append((i, x * scale if d == 1 else [v * scale for v in x]))
+        scale *= step
+    out, den = [d0], E
+    for k in range(1, w):
+        den *= step
+        if d == 1:
+            s = 0
+            for i, x in terms:
+                if i > k:
+                    break
+                s += x * N[k - i]
+            v = -U * s
+            out.append(ExtScalar(field, (v % p if p else Fraction(v, den),)))
+            N.append(out[-1].coeffs[0] if p else v)
+            continue
+        s = [0] * (2 * d - 1)
+        for i, x in terms:
+            if i > k:
+                break
+            _accumulate(s, x, N[k - i])
+        v = [0] * (2 * d - 1)
+        _accumulate(v, U, _fold_product(field, s))
+        v = [-e for e in _fold_product(field, v)]
+        out.append(field._reduce(v, den))
+        N.append(out[-1].coeffs if p else v)
     return out
 
 

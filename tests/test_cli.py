@@ -222,6 +222,27 @@ class TestCommands:
         args = cli.PARSER.parse_args(["lift-matrix", flag, "8"])
         assert getattr(args, flag[2:].replace("-", "_")) == 8
 
+    def test_lift_matrix_n_bounded_above(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["lift-matrix", "--n", "5"])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n: must be an integer <= 4, got 5" in captured.err
+        assert cli.PARSER.parse_args(["lift-matrix", "--n", "4"]).n == 4
+        assert run_cli(capsys, "lift-matrix", "--n", "4") == (
+            0, '{"neumann_identity":true,"orders_certified":true,"rank":3,"unit_triangular":true}')
+
+    @pytest.mark.parametrize("n, error", [
+        ("1", "the change-of-lifting matrix needs n >= 2"),
+        ("0", "the change-of-lifting matrix needs n >= 2"),
+        ("-1", "dimension must be nonnegative"),
+    ])
+    def test_lift_matrix_n_below_two_is_a_domain_error(self, capsys, n, error):
+        code, out = run_cli(capsys, "lift-matrix", "--n", n)
+        assert code == 4
+        assert json.loads(out) == {"code": "error", "error": error}
+
     def test_lift_matrix_char_p_orders_beyond_p(self, capsys):
         # entry (0, 4) has order 4 >= 3: a divided power d^[3] or d^[4] in char 3
         assert run_cli(capsys, "lift-matrix", "--n", "2", "--char", "3", "--exponent", "4") == (

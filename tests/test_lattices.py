@@ -104,6 +104,34 @@ class TestNormalForm:
             assert L.divisors == L2.divisors
             assert L.hnf == L2.hnf
 
+    def test_exact_generators_retry_a_wider_window(self):
+        # the column mixing of a triangular lattice over F8 whose last pivot,
+        # t1^9, lies past a unit inverse on 8 coefficients: the default window
+        # refuses, twice as many coefficients give the triangular lattice's form
+        field = make_extension(2, [1, 1, 0, 1])
+        K = TlfDescriptor(1, field)
+        x, one = field.gen, field.one
+
+        def m(c, e):
+            return K.monomial((e,), c)
+
+        gens = [[m(x + one, 2), m(x * x, -2), m(x + x * x, 0)],
+                [K.zero(), m(one + x * x, 2), m(one + x, -2)],
+                [K.zero(), K.zero(), m(one + x + x * x, 1)]]
+        mixed = [[m(x * x, 0) + m(one + x + x * x, 2), m(x * x, -2), m(x + x * x, 0) + m(x + x * x, 2)],
+                 [m(x, -2), m(one + x * x, 2), m(one + x, -2)],
+                 [m(one + x, 1), K.zero(), m(one + x + x * x, 1)]]
+        with pytest.raises(InsufficientPrecision):
+            lattice_normal_form(K, mixed, window=8)
+        L, L2 = lattice_normal_form(K, gens), lattice_normal_form(K, mixed)
+        assert L.divisors == L2.divisors == (-2, -2, 9)
+        assert L.hnf == L2.hnf
+        # a window-limited generator gets no retry
+        cut = [row[:] for row in mixed]
+        cut[2][2] = cut[2][2] + Series(field, 1, order=40, exact=False)
+        with pytest.raises(InsufficientPrecision):
+            lattice_normal_form(K, cut)
+
     def test_normal_form_depth2(self, K2):
         t1, t2 = K2.gens()
         gens = [[t1 * t2, K2.zero()], [K2.one(), t1.inv()]]

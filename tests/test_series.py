@@ -595,6 +595,63 @@ class TestWindowSoundness:
             return
         self._compare(inv_win, x_full.inv(12))
 
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_depth_one_kernels_at_window_32(self, field):
+        """Depth-1 inv of a series cut to 32 coefficients, and its products with
+        short operands (one to three coefficients, below the packing
+        threshold), against the uncut series."""
+        rng = random.Random(180 + KERNEL_FIELDS.index(field))
+        for _ in range(4):
+            x_full = Series(field, 1, order=rng.randint(-3, 3), coeffs=[
+                field.random_nonzero(rng, 5)] + [
+                field.zero if rng.random() < 0.25 else field.random_element(rng, 5)
+                for _ in range(39)])
+            x_win = truncate_level1(x_full, x_full.order + 32)
+            assert len(x_win.coeffs) == 32
+            self._compare(x_win.inv(), x_full.inv(40))
+            for n in (1, 2, 3):
+                y = Series(field, 1, order=rng.randint(-3, 3),
+                           coeffs=[field.random_nonzero(rng, 5) for _ in range(n)],
+                           exact=rng.random() < 0.5)
+                self._compare(x_win * y, x_full * y)
+                self._compare(y * x_win, y * x_full)
+
+    @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_separation(self, field, depth):
+        """AbstractForm.separate of forms of every degree in a symbol bound to a
+        cut operand, with products, a square, an inverse and a negative power,
+        against the same forms in the uncut operand: every coefficient of every
+        basis element dt_I."""
+        from tlfields.forms import AbstractForm, Const, Gen, Sym
+        from tlfields.tlf import TlfDescriptor
+
+        desc = TlfDescriptor(depth, field)
+        t = [Gen(desc, i) for i in range(1, depth + 1)]
+        checked = 0
+        for rng, x_full, x_win in self._cuts(field, depth, 260 + depth, 12):
+            c = Sym(desc, "c", random_series(field, depth, rng, max_terms=3, exp_span=2))
+            one = Const(desc, 1)
+
+            def separated(x, window):
+                b = Sym(desc, "b", x)
+                forms = [AbstractForm(desc, 0, [(b * c + t[0], ())])]
+                for q in range(1, depth + 1):
+                    hs = tuple(b * t[i] + c for i in range(q))
+                    inverse = (one + t[0] * b).inv() * c ** -1
+                    forms.append(AbstractForm(desc, q, [(c * b ** 2, hs), (inverse, hs[::-1])]))
+                return [form.separate(window) for form in forms]
+
+            try:
+                narrow, wide = separated(x_win, 6), separated(x_full, 10)
+            except (InsufficientPrecision, DivisionByZero):
+                continue
+            for got, want in zip(narrow, wide):
+                for axes, coeff in got.coeffs.items():
+                    self._compare(coeff, want.coefficient(axes))
+            checked += 1
+        assert checked >= 4
+
     @pytest.mark.parametrize("field", WINDOW_FIELDS, ids=repr)
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_divided_derivative(self, field, depth):
@@ -795,6 +852,121 @@ def _high_scalar(field):
     else:
         raw = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
     return st.tuples(*[raw] * field.degree).map(lambda c: ExtScalar(field, c))
+
+
+def _convolve_reference(a, b, n, zero):
+    """_convolve of scalar lists one ExtScalar operation at a time, as it ran
+    before the integer kernel: the reference of the depth-1 product."""
+    acc = [zero] * n
+    b_nonzero = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero()]
+    for i, x in enumerate(a[:n]):
+        if x.is_exact_zero():
+            continue
+        for j, y in b_nonzero:
+            if i + j >= n:
+                break
+            acc[i + j] = acc[i + j] + x * y
+    return acc
+
+
+def _invert_reference(c, d0, w, zero):
+    """_invert of a scalar list one ExtScalar operation at a time, as it ran
+    before the integer kernel: the reference of the depth-1 inverse."""
+    out = [d0]
+    c_nonzero = [(i, x) for i, x in enumerate(c) if i and not x.is_exact_zero()]
+    for k in range(1, w):
+        s = zero
+        for i, x in c_nonzero:
+            if i > k:
+                break
+            s = s + x * out[k - i]
+        out.append(-(d0 * s))
+    return out
+
+
+def _assert_same_scalars(got, want, field):
+    """Equal scalar lists, with equal repr and coordinates of the field's type:
+    Fraction over QQ, int over F_p."""
+    assert len(got) == len(want)
+    coordinate = [int if field.char else Fraction] * field.degree
+    for g, x in zip(got, want):
+        assert g == x
+        assert repr(g) == repr(x)
+        assert [type(v) for v in g.coeffs] == [type(v) for v in x.coeffs] == coordinate
+
+
+def _scalar_entries(draw, field):
+    """Scalars of low or high height, about half of them exact zeros."""
+    scalar = _high_scalar(field) if draw(st.booleans()) else _scalar(field)
+    return st.one_of(st.just(field.zero), scalar), scalar
+
+
+@st.composite
+def _scalar_convolution_case(draw):
+    """(field, a, b, n): a long operand of up to 40 scalars, or a short one,
+    times a short one of 1-3 scalars, in either order, cut or padded to an n
+    of 0 to two past the full product, so some outputs no pair reaches."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    entry, _ = _scalar_entries(draw, field)
+    a = draw(st.lists(entry, min_size=1, max_size=draw(st.sampled_from([3, 40]))))
+    b = draw(st.lists(entry, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a, b = b, a
+    return field, a, b, draw(st.integers(0, len(a) + len(b) + 1))
+
+
+@st.composite
+def _scalar_inverse_case(draw):
+    """(field, c, d0, w): c[0] nonzero, then none, up to 3 or up to 40 more
+    scalars, padded or cut to a window w of 1..40; d0 = 1 / c[0]."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    entry, scalar = _scalar_entries(draw, field)
+    c0 = draw(scalar.filter(lambda s: not s.is_zero()))
+    rest = draw(st.lists(entry, max_size=draw(st.sampled_from([0, 3, 40]))))
+    w = draw(st.integers(1, 40))
+    return field, _pad([c0] + rest, 0, w, field.zero), c0.inv(), w
+
+
+class TestIntegerKernels:
+    """The depth-1 _convolve and _invert, on integer coordinates over one
+    common denominator, equal the ExtScalar loops they replace."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(_scalar_convolution_case())
+    def test_convolve_equals_scalar_loop(self, case):
+        field, a, b, n = case
+        _assert_same_scalars(_convolve(a, b, n, field.zero),
+                             _convolve_reference(a, b, n, field.zero), field)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(_scalar_inverse_case(), st.integers(-3, 3))
+    def test_invert_equals_scalar_loop(self, case, order):
+        field, c, d0, w = case
+        want = _invert_reference(c, d0, w, field.zero)
+        _assert_same_scalars(_invert(c, d0, w, field.zero), want, field)
+        # Series.inv of the series storing c, inexact, runs the same kernel
+        x = Series(field, 1, order=order, coeffs=c, exact=False)
+        _assert_same_series(x.inv(), Series(field, 1, order=-order, coeffs=want, exact=False))
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_fixed_cases(self, field):
+        rng = random.Random(190 + KERNEL_FIELDS.index(field))
+        zero = field.zero
+        x, y, z = (field.random_nonzero(rng, 5) for _ in range(3))
+        # c_0 alone: the inverse is d0 then zeros
+        c = _pad([x], 0, 40, zero)
+        got = _invert(c, x.inv(), 40, zero)
+        _assert_same_scalars(got, _invert_reference(c, x.inv(), 40, zero), field)
+        assert got[0] == x.inv() and all(s.is_zero() for s in got[1:])
+        # outputs 1, 2 and 5 on, which no pair of nonzero scalars reaches
+        a, b = [x, zero, zero, y], [z]
+        got = _convolve(a, b, 7, zero)
+        _assert_same_scalars(got, _convolve_reference(a, b, 7, zero), field)
+        assert [s.is_zero() for s in got] == [False, True, True, False, True, True, True]
+        # a sum that cancels
+        a, b = [x, -x], [y, y]
+        _assert_same_scalars(_convolve(a, b, 3, zero), _convolve_reference(a, b, 3, zero), field)
+        assert _convolve(a, b, 3, zero)[1].is_zero()
 
 
 def _series(field, depth, scalar, exponents):
