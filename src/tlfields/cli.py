@@ -56,9 +56,15 @@ from .geom import RationalForm, global_residues
 
 _PUNCT = ["(", ")", "{", "}", ">=", "<", "=", ";", ",", "+", "-", "*", "/", "^"]
 
+# the deepest nesting of "(" and "{" that the grammars accept: each level costs
+# the recursive-descent parsers up to seven stack frames, so 100 levels stay
+# well inside the interpreter's default recursion limit of 1000
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
+    depth = 0
     i = 0
     while i < len(text):
         ch = text[i]
@@ -82,6 +88,9 @@ def _tokenize(text):
         for p in _PUNCT:
             if text.startswith(p, i):
                 tokens.append(("punct", p, i))
+                depth += (p in "({") - (p in ")}")
+                if depth > MAX_NESTING:
+                    raise ParseError(i, f"at most {MAX_NESTING} nested brackets", text)
                 i += len(p)
                 break
         else:
@@ -154,11 +163,19 @@ class _Parser:
         return value
 
     def unary(self):
-        if self.peek()[1] == "-":
+        signs = self._minus_run()
+        value = self.power_atom()
+        for _ in range(signs):
+            value = -value
+        return value
+
+    def _minus_run(self):
+        """Consume a run of unary minus signs; return how many there were."""
+        count = 0
+        while self.peek()[1] == "-":
             self.next()
-            inner = self.unary()
-            return -inner
-        return self.power_atom()
+            count += 1
+        return count
 
     def power_atom(self):
         value = self.primary()
@@ -323,7 +340,10 @@ class _OpParser(_Parser):
         value = self.op_factor()
         while self.peek()[1] == "*":
             self.next()
+            at = self.peek()[2]
             rhs = self.op_factor()
+            if isinstance(rhs, tuple):
+                raise ParseError(at, "an operator (a scalar leads its product)", self.text)
             if isinstance(value, tuple):  # pending scalar
                 rhs = ScalarMul(value[1], rhs)
                 value = rhs
@@ -334,6 +354,19 @@ class _OpParser(_Parser):
         return value
 
     def op_factor(self):
+        signs = self._minus_run()
+        if signs > MAX_NESTING:
+            # each sign nests one more ScalarMul in the operator tree
+            raise ParseError(self.peek()[2], f"at most {MAX_NESTING} signs in a row", self.text)
+        value = self.op_atom()
+        for _ in range(signs):
+            if isinstance(value, tuple):  # pending scalar
+                value = ("scalar", -value[1])
+            else:
+                value = ScalarMul(self.descriptor.field.from_int(-1), value)
+        return value
+
+    def op_atom(self):
         kind, val, at = self.peek()
         if val == "(":
             self.next()
@@ -343,10 +376,6 @@ class _OpParser(_Parser):
         if kind == "num":
             self.next()
             return ("scalar", self.descriptor.field.from_int(val))
-        if val == "-":
-            self.next()
-            inner = self.op_factor()
-            return ScalarMul(self.descriptor.field.from_int(-1), inner)
         if kind == "ident":
             self.next()
             if val == "mul":
@@ -378,7 +407,14 @@ class _OpParser(_Parser):
 def parse_operator(text, descriptor, window=None):
     text = text.strip()
     if text.startswith("{"):
-        return operator_from_json(descriptor, json.loads(text))
+        try:
+            return operator_from_json(descriptor, json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.pos, f"well-formed JSON ({exc.msg})", text) from None
+        except RecursionError:
+            raise ParseError(0, "JSON nested less deeply", text) from None
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(0, f"an operator in the JSON schema ({type(exc).__name__}: {exc})", text) from None
     return _OpParser(text, descriptor, window).parse_operator()
 
 
@@ -422,10 +458,14 @@ def parse_rational_form(text, base):
         return value
 
     def rf_unary():
-        if peek()[1] == "-":
+        signs = 0
+        while peek()[1] == "-":
             nxt()
-            return _rf_neg(base, rf_unary())
-        return rf_pow()
+            signs += 1
+        value = rf_pow()
+        for _ in range(signs):
+            value = _rf_neg(base, value)
+        return value
 
     def rf_pow():
         value = rf_atom()
@@ -707,6 +747,10 @@ def _int_at_least(low, high=None):
     return parse
 
 
+# the largest --n: at n = 64 certify, decompose and trace-op answer in about
+# 0.2 s; from about n = 500 the tower's recursion over its levels exceeds the
+# interpreter's recursion limit
+MAX_N = 64
 # the largest lift-matrix --exponent and --twist-depth, where the call still
 # finishes in seconds: the order test of entry (i, j) grows with j - i
 LIFT_MATRIX_MAX = 8
@@ -730,7 +774,8 @@ def build_parser():
         "--char": dict(type=int, default=0, help="characteristic (0 or a prime)"),
         "--ext-poly": dict(default=None,
                            help="comma-separated monic minimal polynomial of the last residue field"),
-        "--n": dict(type=int, default=None, help="dimension of the tower"),
+        "--n": dict(type=_int_at_least(None, MAX_N), default=None,
+                    help=f"dimension of the tower (at most {MAX_N})"),
         "--window": dict(type=_int_at_least(1), default=8,
                          help="precision window per level (an integer >= 1)"),
         "--seed": dict(type=int, default=0, help="seed for randomized checks"),

@@ -16,7 +16,14 @@ from .tlf import UniformizerSystem
 
 
 class Expr:
-    """A node in the expression DAG. Subclasses define leaves and operations."""
+    """A node in the expression DAG.
+
+    A leaf (``Const``, ``Gen``, ``Sym``) carries its series ``value`` and its
+    ``partials`` along t_1..t_n.  An operation node lists its ``children``
+    and states its operation once, in ``combine``, on whatever its children
+    fold to: series for ``evaluate``, values with partials for
+    ``eval_with_partials``, expressions for ``substitute_leaves``.
+    """
 
     def __add__(self, other):
         return Add(self, _coerce(self, other))
@@ -40,10 +47,10 @@ class Expr:
     def __truediv__(self, other):
         return Mul(self, Inv(_coerce(self, other)))
 
-    def __pow__(self, k):
+    def __pow__(self, k, window=None):
         return Pow(self, k)
 
-    def inv(self):
+    def inv(self, window=None):
         return Inv(self)
 
     # traversal
@@ -67,20 +74,7 @@ class Expr:
 
     def substitute_leaves(self, mapping):
         """Rebuild the DAG with generators/symbols replaced per mapping."""
-        cache = {}
-
-        def walk(node):
-            key = id(node)
-            if key in cache:
-                return cache[key]
-            out = node._subst(mapping, walk)
-            cache[key] = out
-            return out
-
-        return walk(self)
-
-    def _subst(self, mapping, walk):
-        raise NotImplementedError
+        return _fold(self, lambda leaf: leaf.substitute(mapping), None)
 
 
 def _coerce(template, value):
@@ -99,8 +93,10 @@ class Const(Expr):
         if isinstance(scalar, int):
             scalar = descriptor.field.from_int(scalar)
         self.scalar = scalar
+        self.value = descriptor.constant(scalar)
+        self.partials = (descriptor.zero(),) * descriptor.n
 
-    def _subst(self, mapping, walk):
+    def substitute(self, mapping):
         return self
 
     def __repr__(self):
@@ -113,8 +109,13 @@ class Gen(Expr):
             raise LocalFieldError(f"generator axis {axis} outside 1..{descriptor.n}")
         self.descriptor = descriptor
         self.axis = axis
+        self.value = descriptor.gen(axis)
+        zero = descriptor.zero()
+        self.partials = tuple(
+            descriptor.one() if i == axis else zero for i in range(1, descriptor.n + 1)
+        )
 
-    def _subst(self, mapping, walk):
+    def substitute(self, mapping):
         key = f"t{self.axis}"
         if key in mapping:
             return mapping[key]
@@ -149,7 +150,7 @@ class Sym(Expr):
                     )
         self.partials = partials
 
-    def _subst(self, mapping, walk):
+    def substitute(self, mapping):
         if self.name in mapping:
             return mapping[self.name]
         raise UnmappedSymbol(f"symbol {self.name} not mapped")
@@ -166,8 +167,8 @@ class Add(Expr):
     def children(self):
         return (self.a, self.b)
 
-    def _subst(self, mapping, walk):
-        return Add(walk(self.a), walk(self.b))
+    def combine(self, a, b, window):
+        return a + b
 
     def __repr__(self):
         return f"({self.a!r} + {self.b!r})"
@@ -180,8 +181,8 @@ class Neg(Expr):
     def children(self):
         return (self.a,)
 
-    def _subst(self, mapping, walk):
-        return Neg(walk(self.a))
+    def combine(self, a, window):
+        return -a
 
     def __repr__(self):
         return f"(-{self.a!r})"
@@ -195,8 +196,8 @@ class Mul(Expr):
     def children(self):
         return (self.a, self.b)
 
-    def _subst(self, mapping, walk):
-        return Mul(walk(self.a), walk(self.b))
+    def combine(self, a, b, window):
+        return a * b
 
     def __repr__(self):
         return f"({self.a!r} * {self.b!r})"
@@ -209,8 +210,8 @@ class Inv(Expr):
     def children(self):
         return (self.a,)
 
-    def _subst(self, mapping, walk):
-        return Inv(walk(self.a))
+    def combine(self, a, window):
+        return a.inv(window)
 
     def __repr__(self):
         return f"({self.a!r})^-1"
@@ -226,88 +227,78 @@ class Pow(Expr):
     def children(self):
         return (self.a,)
 
-    def _subst(self, mapping, walk):
-        return Pow(walk(self.a), self.k)
+    def combine(self, a, window):
+        return a.__pow__(self.k, window)
 
     def __repr__(self):
         return f"({self.a!r})^{self.k}"
 
 
-def _find_descriptor(expr):
-    for leaf in expr.leaves():
-        if isinstance(leaf, (Const, Gen, Sym)):
-            return leaf.descriptor
-    raise LocalFieldError("expression has no anchored leaf")
+def _fold(expr, leaf, window):
+    """Fold the DAG bottom-up: ``leaf(node)`` at a leaf, ``node.combine`` of
+    the children's results at an operation.  Each shared node is visited
+    once, children left to right, on an explicit stack, so the depth of the
+    DAG is not limited by the interpreter's recursion limit."""
+    done = {}
+    stack = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if key in done:
+            continue
+        kids = node.children()
+        if not kids:
+            done[key] = leaf(node)
+        elif expanded:
+            done[key] = node.combine(*[done[id(kid)] for kid in kids], window)
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+    return done[id(expr)]
+
+
+class _Dual:
+    """A value with its partials along t_1..t_n: the chain rule of each
+    operation, for forward-mode differentiation by ``_fold``."""
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+
+    def __add__(self, other):
+        partials = tuple(x + y for x, y in zip(self.partials, other.partials))
+        return _Dual(self.value + other.value, partials)
+
+    def __neg__(self):
+        return _Dual(-self.value, tuple(-x for x in self.partials))
+
+    def __mul__(self, other):
+        va, vb = self.value, other.value
+        partials = tuple(x * vb + va * y for x, y in zip(self.partials, other.partials))
+        return _Dual(va * vb, partials)
+
+    def inv(self, window):
+        iv = self.value.inv(window)
+        return _Dual(iv, tuple(-(iv * iv) * x for x in self.partials))
+
+    def __pow__(self, k, window):
+        va = self.value
+        vp = va.__pow__(k, window)
+        dv = va.__pow__(k - 1, window).scalar_mul(va.field.from_int(k))
+        return _Dual(vp, tuple(dv * x for x in self.partials))
 
 
 def evaluate(expr, window=None):
     """Series value of an expression (memoized over the DAG)."""
-    return _eval_with_partials(expr, window, want_partials=False)[0]
+    return _fold(expr, lambda leaf: leaf.value, window)
 
 
 def eval_with_partials(expr, window=None):
     """(value, partials) by forward-mode differentiation over the DAG."""
-    return _eval_with_partials(expr, window, want_partials=True)
-
-
-def _eval_with_partials(expr, window, want_partials):
-    desc = _find_descriptor(expr)
-    n = desc.n
-    zero = desc.zero()
-    cache = {}
-
-    def walk(node):
-        key = id(node)
-        if key in cache:
-            return cache[key]
-        if isinstance(node, Const):
-            out = (desc.constant(node.scalar), (zero,) * n)
-        elif isinstance(node, Gen):
-            grads = tuple(
-                desc.one() if i == node.axis else zero for i in range(1, n + 1)
-            )
-            out = (desc.gen(node.axis), grads if want_partials else (zero,) * n)
-        elif isinstance(node, Sym):
-            out = (node.value, node.partials)
-        elif isinstance(node, Add):
-            (va, ga), (vb, gb) = walk(node.a), walk(node.b)
-            grads = tuple(x + y for x, y in zip(ga, gb)) if want_partials else ga
-            out = (va + vb, grads)
-        elif isinstance(node, Neg):
-            va, ga = walk(node.a)
-            out = (-va, tuple(-x for x in ga) if want_partials else ga)
-        elif isinstance(node, Mul):
-            (va, ga), (vb, gb) = walk(node.a), walk(node.b)
-            grads = (
-                tuple(x * vb + va * y for x, y in zip(ga, gb))
-                if want_partials
-                else ga
-            )
-            out = (va * vb, grads)
-        elif isinstance(node, Inv):
-            va, ga = walk(node.a)
-            iv = va.inv(window)
-            grads = (
-                tuple(-(iv * iv) * x for x in ga) if want_partials else ga
-            )
-            out = (iv, grads)
-        elif isinstance(node, Pow):
-            va, ga = walk(node.a)
-            vp = va.__pow__(node.k, window)
-            if want_partials:
-                dv = va.__pow__(node.k - 1, window).scalar_mul(
-                    desc.field.from_int(node.k)
-                )
-                grads = tuple(dv * x for x in ga)
-            else:
-                grads = ga
-            out = (vp, grads)
-        else:
-            raise LocalFieldError(f"unknown expression node {type(node).__name__}")
-        cache[key] = out
-        return out
-
-    return walk(expr)
+    dual = _fold(expr, lambda leaf: _Dual(leaf.value, leaf.partials), window)
+    return dual.value, dual.partials
 
 
 # ---------------------------------------------------------------------------

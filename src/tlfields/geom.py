@@ -11,7 +11,7 @@ gives exactly zero.
 from .errors import FactorizationOutOfScope, IrreducibilityCheckInfeasible, LocalFieldError
 from .scalars import (ExtField, _least_factor, _poly_derivative, _poly_divmod, _poly_ext_gcd,
                       _poly_str, _poly_trim)
-from .series import Series
+from .series import Series, newton_inverse_1d
 from .forms import SeparatedForm
 from .residue import res_tlf
 from .tlf import TlfDescriptor
@@ -150,7 +150,9 @@ def _eval_poly_at_series(poly, T, field):
 
 
 def _uniformizer_expansion(point, window):
-    """T(u) in k(x)[[u]] with m(T) = u and T(0) the residue of t; via Newton."""
+    """T(u) in k(x)[[u]] with m(T) = u and T(0) the residue of t: theta plus
+    the compositional inverse of m(theta + u), which has valuation 1 since m
+    is separable."""
     base = point.base
     K = local_field_at(point)
     field = K.field
@@ -159,22 +161,9 @@ def _uniformizer_expansion(point, window):
         c = base.neg(point.min_poly[0])
         theta = field.from_base(c)
         return K, Series.from_terms(field, 1, {(0,): theta, (1,): field.one})
-    theta = field.gen
-    m = list(point.min_poly)
-    u = Series.generator(field, 1, 1)
-    T = Series.constant(field, 1, theta) + u  # first-order seed
-    mp = _poly_derivative(base, m)
-    steps = 1
-    while (1 << steps) < window + 2:
-        steps += 1
-    from .series import truncate_level1
-
-    for _ in range(steps + 1):
-        mT = _eval_poly_at_series(m, T, field)
-        mpT = _eval_poly_at_series(mp, T, field)
-        T = T - (mT - u) * mpT.inv(window + 2)
-        T = truncate_level1(T, window + 2)
-    return K, T
+    theta = Series.constant(field, 1, field.gen)
+    shifted = _eval_poly_at_series(point.min_poly, theta + Series.generator(field, 1, 1), field)
+    return K, theta + newton_inverse_1d(shifted, window=window + 1)
 
 
 def local_expansion(form, point, window=None):

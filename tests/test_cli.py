@@ -6,7 +6,7 @@ from tlfields import cli
 from tlfields.cli import main, parse_expression, parse_form, parse_series, parse_rational_form
 from tlfields.scalars import BaseField, make_extension
 from tlfields.tlf import TlfDescriptor
-from tlfields.forms import AbstractForm
+from tlfields.forms import AbstractForm, Gen, Neg
 
 
 @pytest.fixture
@@ -499,6 +499,117 @@ class TestCommands:
             capsys, "residue", "--n", "1", "--ext-poly", "1,0,1", "(1+x) * dlog(t1)"
         )
         assert json.loads(out)["value"] == "2"
+
+
+CERTIFIED_E = '{"band":-1,"certified":true,"replayed":true,"target":"E"}'
+# (argv with "{}" where the nested text goes, its opening and closing brackets,
+# the innermost text, and the output at every accepted depth)
+NESTED_CALLS = [
+    (["residue", "--n", "1", "{}^-1*d(t1)"], "(", ")", "t1", '{"value":"1","window_used":8}'),
+    (["residue", "--n", "1", "{}^-1*d(t1)"], "inv(", ")", "t1", '{"value":"1","window_used":8}'),
+    (["residue", "--n", "1", "{}^-1*d(t1)"], "b{series=", "}", "t1", '{"value":"1","window_used":8}'),
+    (["global-sum", "{} dt"], "(", ")", "1/t", '{"locals":{"infinity":"-1","t":"1"},"sum":"0"}'),
+    (["certify", "--n", "1", "{}"], "(", ")", "d1",
+     '{"band":1,"certified":true,"replayed":true,"target":"E"}'),
+]
+
+
+def _nested_argv(argv, opening, closing, inner, depth):
+    text = opening * depth + inner + closing * depth
+    return [a.replace("{}", text) for a in argv]
+
+
+class TestDeepInput:
+    """Deep, long or malformed input answers or exits 2, never with a traceback."""
+
+    def test_thousand_term_polynomial(self, capsys):
+        poly = "+".join(f"t1^{i}" for i in range(1000))
+        assert run_cli(capsys, "residue", "--n", "1", f"({poly})*t1^-1*d(t1)") == (
+            0, '{"value":"1","window_used":8}')
+
+    @pytest.mark.parametrize("argv, opening, closing, inner, out", NESTED_CALLS)
+    def test_nesting_bounded(self, capsys, argv, opening, closing, inner, out):
+        deepest = _nested_argv(argv, opening, closing, inner, cli.MAX_NESTING)
+        assert run_cli(capsys, *deepest) == (0, out)
+        for depth in (cli.MAX_NESTING + 1, 1500):
+            code, printed = run_cli(capsys, *_nested_argv(argv, opening, closing, inner, depth))
+            assert code == 2
+            error = json.loads(printed)
+            assert error["code"] == "parse-error"
+            bracket = cli.MAX_NESTING * len(opening) + max(opening.find("("), opening.find("{"))
+            assert error["error"].startswith(
+                f"at position {bracket}: "
+                f"expected at most {cli.MAX_NESTING} nested brackets")
+
+    def test_minus_runs_keep_their_nesting(self, capsys, K2):
+        assert run_cli(capsys, "residue", "--n", "1", "--", "-" * 5000 + "t1^-1*d(t1)") == (
+            0, '{"value":"1","window_used":8}')
+        assert run_cli(capsys, "global-sum", "--", "-" * 5001 + "1/t dt") == (
+            0, '{"locals":{"infinity":"1","t":"-1"},"sum":"0"}')
+        e = parse_expression("--t1", K2)
+        assert isinstance(e, Neg) and isinstance(e.a, Neg) and isinstance(e.a.a, Gen)
+
+    def test_operator_sign_runs_bounded(self, capsys):
+        assert run_cli(capsys, "certify", "--n", "1", "--", "-" * cli.MAX_NESTING + "mul(t1)") == (
+            0, CERTIFIED_E)
+        code, out = run_cli(capsys, "certify", "--n", "1", "--", "-" * 5000 + "mul(t1)")
+        assert code == 2
+        assert json.loads(out)["error"].startswith(
+            f"at position 5000: expected at most {cli.MAX_NESTING} signs in a row")
+
+    @pytest.mark.parametrize("argv", [
+        ["residue", "--n", "2000", "t1"],
+        ["residue", "--n", "1000", "t1"],
+        ["certify", "--n", "2000", "mul(t1)"],
+        ["certify", "--n", "900", "mul(t1)"],
+        ["trace-op", "--n", "65", "mul(t1)"],
+        ["decompose", "--n", "65"],
+        ["tate-residue", "--n", "65", "t1", "t1"],
+        ["trace-form", "--n", "65", "--kummer", "2", "t1"],
+    ])
+    def test_dimension_bounded_above(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --n: must be an integer <= {cli.MAX_N}, got {argv[2]}" in captured.err
+
+    def test_largest_dimension_answers(self, capsys):
+        assert run_cli(capsys, "certify", "--n", str(cli.MAX_N), "mul(t1)") == (0, CERTIFIED_E)
+
+    @pytest.mark.parametrize("payload, error", [
+        ("{bad", "at position 1: expected well-formed JSON "
+                 "(Expecting property name enclosed in double quotes) in '{bad'"),
+        ('{"op":"mulby"}', "at position 0: expected an operator in the JSON schema "
+                           "(KeyError: 'f') in '{\"op\":\"mulby\"}'"),
+        ('{"op":"scalarmul","scalar":["x"],"part":{"op":"diff","terms":[]}}',
+         "at position 0: expected an operator in the JSON schema "
+         "(ValueError: Invalid literal for Fraction: 'x')"),
+        ('{"op":"compose","parts":[' * 2000 + '{"op":"diff","terms":[]}' + "]}" * 2000,
+         "at position 0: expected JSON nested less deeply"),
+    ])
+    @pytest.mark.parametrize("command", ["certify", "trace-op"])
+    def test_malformed_json_is_a_parse_error(self, capsys, command, payload, error):
+        code, out = run_cli(capsys, command, "--n", "1", payload)
+        assert code == 2
+        data = json.loads(out)
+        assert data["code"] == "parse-error"
+        assert data["error"].startswith(error)
+
+    def test_deep_json_within_the_recursion_limit_answers(self, capsys):
+        payload = '{"op":"compose","parts":[' * 300 + '{"op":"diff","terms":[]}' + "]}" * 300
+        assert run_cli(capsys, "certify", "--n", "1", payload) == (
+            0, '{"band":0,"certified":true,"replayed":true,"target":"E"}')
+        assert run_cli(capsys, "certify", "--n", "1", '{"op":"nope"}') == (
+            4, '{"code": "error", "error": "unknown operator kind \'nope\'"}')
+
+    def test_scalar_leads_its_product(self, capsys):
+        assert run_cli(capsys, "certify", "--n", "1", "--", "-2*mul(t1)") == (0, CERTIFIED_E)
+        for text, at in (("2*3*mul(t1)", 2), ("mul(t1)*2", 8), ("mul(t1)*-2*d1", 8)):
+            code, out = run_cli(capsys, "certify", "--n", "1", text)
+            assert code == 2
+            assert json.loads(out)["error"].startswith(f"at position {at}: expected an operator")
 
 
 # every flag a subcommand does not read, with a value where it takes one,

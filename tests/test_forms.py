@@ -4,16 +4,19 @@ import pytest
 
 from tlfields.errors import LocalFieldError, UnmappedSymbol
 from tlfields.scalars import make_extension
-from tlfields.series import Series, random_series
+from tlfields.series import Series, agree_within_window, random_series
 from tlfields.forms import (
     AbstractForm,
+    Add,
     Const,
     Gen,
+    Neg,
     SeparatedForm,
     Sym,
     d_element,
     dlog,
     dlog_element,
+    eval_with_partials,
     evaluate,
     identity_mapping,
 )
@@ -49,6 +52,76 @@ class TestEval:
         val = K2.gen(2)
         with pytest.raises(LocalFieldError):
             Sym(K2, "b", val, partials=[K2.one(), K2.one()])  # db/dt1 should be 0
+
+
+FOLD_FIELDS = [make_extension(0, [0, 1]), make_extension(5, [0, 1]), make_extension(5, [-2, 0, 1])]
+
+
+def _random_dag(K, rng, size):
+    """A Sym-free DAG of sums, negations, products, inverses and powers -3..6
+    over generators and small constants; later nodes reuse earlier ones."""
+    nodes = [Gen(K, i) for i in range(1, K.n + 1)]
+    nodes.append(Const(K, K.field.random_nonzero(rng, 2)))
+    for _ in range(size):
+        op = rng.choice(["add", "add", "neg", "mul", "inv", "pow"])
+        a = nodes[-1] if rng.random() < 0.6 else rng.choice(nodes)
+        if op == "add":
+            nodes.append(a + rng.choice(nodes))
+        elif op == "neg":
+            nodes.append(-a)
+        elif op == "mul":
+            nodes.append(a * rng.choice(nodes))
+        elif op == "inv":
+            nodes.append(a.inv())
+        else:
+            nodes.append(a ** rng.randint(-3, 6))
+    return nodes[-1]
+
+
+class TestFold:
+    @pytest.mark.parametrize("field", FOLD_FIELDS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_partials_match_value(self, field, n, seed):
+        """eval_with_partials gives evaluate's value, and each partial agrees
+        with the termwise derivative of that value within its window;
+        a refusal is the same for both."""
+        K = TlfDescriptor(n, field)
+        rng = random.Random(1000 * seed + 10 * n + FOLD_FIELDS.index(field))
+        e = _random_dag(K, rng, rng.randint(3, 7))
+        window = rng.randint(3, 6)
+        try:
+            value = evaluate(e, window)
+        except LocalFieldError as exc:
+            with pytest.raises(type(exc)):
+                eval_with_partials(e, window)
+            return
+        dual_value, partials = eval_with_partials(e, window)
+        assert dual_value == value
+        assert len(partials) == n
+        for i, p in enumerate(partials, start=1):
+            assert agree_within_window(p, value.derivative(i))
+
+    def test_chain_deeper_than_the_recursion_limit(self, Q):
+        K1 = TlfDescriptor(1, Q)
+        e, expected = Gen(K1, 1), K1.gen(1)
+        c = Const(K1, 3)
+        for i in range(5000):
+            if i % 2:
+                e, expected = Add(e, c), expected + c.value
+            else:
+                e, expected = Neg(e), -expected
+        assert evaluate(e) == expected
+        assert eval_with_partials(e)[1] == (K1.one(),)
+        back = e.substitute_leaves({"t1": Gen(K1, 1) * Gen(K1, 1)})
+        assert evaluate(back) == expected - K1.gen(1) + K1.monomial((2,))
+
+    def test_first_error_is_the_leftmost(self, K2):
+        b = Sym(K2, "b", K2.gen(2))
+        with pytest.raises(UnmappedSymbol, match="symbol b"):
+            (b + Gen(K2, 1)).substitute_leaves({})
+        with pytest.raises(UnmappedSymbol, match="generator t1"):
+            (Gen(K2, 1) + b).substitute_leaves({})
 
 
 class TestSeparate:
