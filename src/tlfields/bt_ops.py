@@ -32,10 +32,18 @@ from .errors import (
     LocalFieldError,
     NotCertifiable,
     NotReduced,
+    ParseError,
 )
 from .scalars import ext_trace, mat_mul, mat_vec, row_reduce
 from .series import Series, binomial, level1_valuation, truncate_level1
 from .tlf import LiftingSystem, sigma_expand
+
+
+# How many operators a JSON operator may sit inside.  The node methods recurse
+# on their parts: with 451 nested operators every node type's certify and
+# trace-op answer, as a subprocess and under pytest; with 480, under pytest,
+# json.loads (compose, add) or a ScalarMul's repr (trace-op) would overflow.
+MAX_JSON_NESTING = 450
 
 
 Window1 = namedtuple("Window1", "span breaks image degree")
@@ -1236,9 +1244,14 @@ def _compare_induced_maps(phi, sigma, sigma_prime, probe_count, gap=2):
 # ---------------------------------------------------------------------------
 
 
-def operator_from_json(descriptor, data, sigma=None):
+def operator_from_json(descriptor, data, sigma=None, depth=0):
+    """The operator of a JSON tree; depth is the number of operators around
+    it, at most MAX_JSON_NESTING."""
     from fractions import Fraction
 
+    if depth > MAX_JSON_NESTING:
+        raise ParseError(0, f"JSON nested less deeply (an operator inside at most "
+                            f"{MAX_JSON_NESTING} others)")
     sigma = sigma or LiftingSystem.standard(descriptor)
     kind = data["op"]
     field = descriptor.field
@@ -1258,7 +1271,7 @@ def operator_from_json(descriptor, data, sigma=None):
     if kind == "proj":
         return LevelProjection(descriptor, data["level"], data["cmp"], data["cutoff"], sigma)
     if kind == "coefflift":
-        inner = operator_from_json(descriptor.residue_descriptor(), data["inner"])
+        inner = operator_from_json(descriptor.residue_descriptor(), data["inner"], None, depth + 1)
         return CoeffLift(descriptor, inner, sigma)
     if kind == "finrank":
         matrix = {
@@ -1267,11 +1280,12 @@ def operator_from_json(descriptor, data, sigma=None):
         }
         return FiniteRank(descriptor, matrix)
     if kind == "compose":
-        return Compose([operator_from_json(descriptor, p, sigma) for p in data["parts"]])
+        return Compose([operator_from_json(descriptor, p, sigma, depth + 1)
+                        for p in data["parts"]])
     if kind == "add":
-        return AddOp([operator_from_json(descriptor, p, sigma) for p in data["parts"]])
+        return AddOp([operator_from_json(descriptor, p, sigma, depth + 1) for p in data["parts"]])
     if kind == "scalarmul":
         return ScalarMul(
-            scal(data["scalar"]), operator_from_json(descriptor, data["part"], sigma)
+            scal(data["scalar"]), operator_from_json(descriptor, data["part"], sigma, depth + 1)
         )
     raise LocalFieldError(f"unknown operator kind {kind!r}")

@@ -136,12 +136,25 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.wedge_level()
+        # each term is checked as it is read; forms add at once, so a degree
+        # mismatch is raised where it is read, and series terms are summed at
+        # the end as a balanced tree, in order: a run of k terms then re-adds
+        # each coefficient about log2(k) times, not up to k times
+        terms = [self.wedge_level()]
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.wedge_level()
-            value = self._combine_add(value, rhs, op)
-        return value
+            if isinstance(rhs, AbstractForm) != isinstance(terms[0], AbstractForm):
+                raise ParseError(self.peek()[2], "matching form/series operands", self.text)
+            if op == "-":
+                rhs = -rhs
+            if isinstance(rhs, AbstractForm):
+                terms[0] = terms[0] + rhs
+            else:
+                terms.append(rhs)
+        while len(terms) > 1:
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return terms[0]
 
     def wedge_level(self):
         # '^' between forms is a wedge and binds looser than '*';
@@ -265,14 +278,6 @@ class _Parser:
         if isinstance(value, AbstractForm):
             raise ParseError(at, "a series-valued expression", self.text)
         return evaluate(value, self.window)
-
-    def _combine_add(self, a, b, op):
-        bf, af = isinstance(b, AbstractForm), isinstance(a, AbstractForm)
-        if af != bf:
-            raise ParseError(self.peek()[2], "matching form/series operands", self.text)
-        if op == "-":
-            b = -b
-        return a + b
 
     def _combine_mul(self, a, b, op):
         af, bf = isinstance(a, AbstractForm), isinstance(b, AbstractForm)

@@ -36,11 +36,18 @@ coefficient at e the window rules give [xs + e, xe + e) with x's exactness, on
 either side, and each x_k * c lands on an exact zero.  A monomial never packs,
 and every other product is computed as below.
 
-When both operands store at least ``_PACK_MIN_COEFFS`` level-1 coefficients
-(half as many at depth 2 and deeper) the values come from one big-int product
-(Kronecker substitution, as in D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symb. Comput. 2009), at any depth and
-over any field.  Each stored coordinate of an operand takes a slot of one
+Other products pick their kernel by cost.  At depth 1 the convolution visits
+the pairs of stored coefficients that land inside the product's stored range,
+d^2 products of coordinates each over a field of degree d, and packing costs
+about 4 (d + 1) such pairs for each scalar it packs or reads back: a product
+packs when the first cost exceeds the second (see _packing_pays).  Deeper, it
+packs when both operands store at least ``_PACK_MIN_COEFFS`` level-1
+coefficients, each counted twice.  A packed product's values come from one
+big-int product (Kronecker substitution, as in D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput. 2009),
+at any depth and over any field.
+
+Each stored coordinate of an operand takes a slot of one
 Python int: level l has span_x(l) + span_y(l) - 1 slots per step of the level
 above, span being the operand's range of stored exponents there, and each
 scalar takes 2d - 1 slots, of which its d coordinates fill the low ones.  Over
@@ -52,9 +59,9 @@ each slot reads back unsigned on its own.  Only the slots the shape keeps are
 read, and each scalar is reduced once through the field's fold table (dividing
 by the product of the two lcms over QQ).
 
-Smaller products, and operands so sparse that the packed box would hold more
-than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep the
-coefficientwise convolution.  At depth 1 it runs on integer coordinates, in
+Products that do not pack, and operands so sparse that the packed box would
+hold more than ``_PACK_BOX_PER_PAIR`` slots per pair of stored scalars, keep
+the coefficientwise convolution.  At depth 1 it runs on integer coordinates, in
 the fraction-free style of J. von zur Gathen and J. Gerhard, *Modern Computer
 Algebra*: each operand is cleared once to integer coordinates over one common
 denominator (as for packing; over F_p they are ints already), each output
@@ -102,9 +109,10 @@ from .scalars import ExtScalar, _clear_denominators
 
 DEFAULT_WINDOW = 8
 
-# A product packs when both operands store at least this many level-1
-# coefficients, each counted twice at depth 2 and deeper, where it is a series
-# itself; below that the convolution costs less than building the ints.
+# At depth 1 packing costs about this many convolution pairs, times d + 1 over
+# a field of degree d, for each scalar it packs or reads back (_packing_pays).
+# Deeper, a product packs when both operands store at least this many level-1
+# coefficients, each counted twice since it is a series itself.
 _PACK_MIN_COEFFS = 4
 # The packed box may hold at most this many slots per pair of stored scalars;
 # sparser operands with wide exponent spans keep the convolution.
@@ -329,15 +337,14 @@ class Series:
             return _times_monomial(self, other)
         if _is_monomial(self):
             return _times_monomial(other, self)
-        weight = 1 if self.depth == 1 else 2
-        if min(len(self.coeffs), len(other.coeffs)) * weight >= _PACK_MIN_COEFFS:
-            product = _kronecker_product(self, other)
-            if product is not None:
-                return product
         start, end, exact = _mul_window(
             self.order, self.order + len(self.coeffs), self.exact,
             other.order, other.order + len(other.coeffs), other.exact,
         )
+        if _packing_pays(self, other, end - start):
+            product = _kronecker_product(self, other)
+            if product is not None:
+                return product
         zero = Series.zero(self.field, self.depth - 1)
         acc = _convolve(self.coeffs, other.coeffs, end - start, zero)
         return Series(self.field, self.depth, order=start, coeffs=acc, exact=exact)
@@ -641,6 +648,26 @@ def _convolve_scalars(a, b, n, zero):
                 acc[k] = [0] * (2 * field.degree - 1)
             _accumulate(acc[k], x, y)
     return [zero if s is None else field._reduce(s, den) for s in acc]
+
+
+def _packing_pays(x, y, n):
+    """True when x * y, n level-1 coefficients long, costs less packed.
+
+    At depth 1 the convolution visits the pairs (i, j) of stored coefficients
+    with i + j < n, d^2 products of coordinates each over a field of degree
+    d; packing costs about _PACK_MIN_COEFFS * (d + 1) pairs per scalar it
+    packs or reads back, len(x) + len(y) + n of them.  Deeper, both operands
+    must store _PACK_MIN_COEFFS level-1 coefficients, each counted twice.
+    """
+    a, b = len(x.coeffs), len(y.coeffs)
+    if x.depth > 1:
+        return min(a, b) * 2 >= _PACK_MIN_COEFFS
+    # the convolution reads the first n of each; the pairs it skips, those
+    # with i + j >= n, form a triangle of side m inside that box
+    ca, cb = min(a, n), min(b, n)
+    m = max(ca + cb - 1 - n, 0)
+    d = x.field.degree
+    return (ca * cb - m * (m + 1) // 2) * d * d > _PACK_MIN_COEFFS * (d + 1) * (a + b + n)
 
 
 def _is_monomial(x):

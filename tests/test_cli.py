@@ -6,7 +6,8 @@ from tlfields import cli
 from tlfields.cli import main, parse_expression, parse_form, parse_series, parse_rational_form
 from tlfields.scalars import BaseField, make_extension
 from tlfields.tlf import TlfDescriptor
-from tlfields.forms import AbstractForm, Gen, Neg
+from tlfields.bt_ops import MAX_JSON_NESTING
+from tlfields.forms import AbstractForm, Add, Gen, Neg
 
 
 @pytest.fixture
@@ -527,6 +528,24 @@ class TestDeepInput:
         assert run_cli(capsys, "residue", "--n", "1", f"({poly})*t1^-1*d(t1)") == (
             0, '{"value":"1","window_used":8}')
 
+    def test_long_sum_is_a_balanced_tree(self, K2):
+        poly = "+".join(f"t1^{i}" for i in range(1000))
+        depth, level = 0, [parse_expression(poly, K2)]
+        while level:
+            depth += 1
+            level = [c for e in level if isinstance(e, Add) for c in (e.a, e.b)]
+        assert depth == 11  # ten levels of Add over the leaves: 2^10 >= 1000
+        # the leaves keep their order
+        leaves, stack = [], [parse_expression(poly, K2)]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Add):
+                stack += [e.b, e.a]
+            else:
+                leaves.append(e)
+        assert [repr(leaf) for leaf in leaves] == [
+            repr(parse_expression(f"t1^{i}", K2)) for i in range(1000)]
+
     @pytest.mark.parametrize("argv, opening, closing, inner, out", NESTED_CALLS)
     def test_nesting_bounded(self, capsys, argv, opening, closing, inner, out):
         deepest = _nested_argv(argv, opening, closing, inner, cli.MAX_NESTING)
@@ -603,6 +622,29 @@ class TestDeepInput:
             0, '{"band":0,"certified":true,"replayed":true,"target":"E"}')
         assert run_cli(capsys, "certify", "--n", "1", '{"op":"nope"}') == (
             4, '{"code": "error", "error": "unknown operator kind \'nope\'"}')
+
+    @pytest.mark.parametrize("opening, closing", [
+        ('{"op":"compose","parts":[', "]}"),
+        ('{"op":"add","parts":[', "]}"),
+        ('{"op":"scalarmul","scalar":["2"],"part":', "}"),
+    ], ids=["compose", "add", "scalarmul"])
+    def test_json_nesting_bounded(self, capsys, opening, closing):
+        leaf = '{"op":"diff","terms":[]}'
+        deepest = opening * MAX_JSON_NESTING + leaf + closing * MAX_JSON_NESTING
+        assert run_cli(capsys, "certify", "--n", "1", deepest) == (
+            0, '{"band":0,"certified":true,"replayed":true,"target":"E"}')
+        code, out = run_cli(capsys, "trace-op", "--n", "1", deepest)
+        assert (code, json.loads(out)["code"]) == (4, "not-certifiable")
+        # 900 deep, json.loads overflows first on compose and add
+        for depth in (MAX_JSON_NESTING + 1, 900):
+            payload = opening * depth + leaf + closing * depth
+            for command in ("certify", "trace-op"):
+                code, out = run_cli(capsys, command, "--n", "1", payload)
+                assert code == 2
+                error = json.loads(out)["error"]
+                assert error.startswith("at position 0: expected JSON nested less deeply")
+                if depth == MAX_JSON_NESTING + 1:
+                    assert error.endswith(f"(an operator inside at most {MAX_JSON_NESTING} others)")
 
     def test_scalar_leads_its_product(self, capsys):
         assert run_cli(capsys, "certify", "--n", "1", "--", "-2*mul(t1)") == (0, CERTIFIED_E)

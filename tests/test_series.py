@@ -1089,6 +1089,56 @@ class TestPackedProduct:
         _assert_same_series(_kronecker_product(y, y), _convolved(y, y))
 
 
+def _dense_row(field, rng, length, exact):
+    """A depth-1 series storing `length` nonzero scalars from t_1^-1 on."""
+    coeffs = [field.random_nonzero(rng, 7) for _ in range(length)]
+    return Series(field, 1, order=-1, coeffs=coeffs, exact=exact)
+
+
+class TestKernelChoice:
+    """Either depth-1 kernel gives the same product on both sides of the
+    calibrated crossovers, and Series.__mul__ reaches both."""
+
+    # (shorter length, longer length, exact): over a degree-1 field an exact
+    # square product packs from length 32 and a windowed one from 48, over
+    # Q(i) from 12 and 18; an exact 16 x 128 product over QQ convolves and a
+    # 24 x 128 one packs
+    @pytest.mark.parametrize("field", KERNEL_FIELDS[:2] + [PACKED_FIELDS[2]], ids=repr)
+    @pytest.mark.parametrize("a, b, exact", [
+        (11, 11, True), (12, 12, True), (31, 31, True), (32, 32, True),
+        (17, 17, False), (18, 18, False), (47, 47, False), (48, 48, False),
+        (16, 128, True), (24, 128, True), (16, 128, False),
+    ])
+    def test_kernels_agree(self, field, a, b, exact):
+        rng = random.Random(a * 1000 + b)
+        x = _dense_row(field, rng, a, exact)
+        y = _dense_row(field, rng, b, exact)
+        want = _convolved(x, y)
+        _assert_same_series(x * y, want)
+        _assert_same_series(_kronecker_product(x, y), want)
+        _assert_same_series(y * x, want)
+
+    @pytest.mark.parametrize("field", [KERNEL_FIELDS[0], PACKED_FIELDS[2]], ids=repr)
+    def test_both_kernels_reached(self, field, monkeypatch):
+        calls = {"_kronecker_product": 0, "_convolve": 0}
+
+        def counted(name):
+            kernel = getattr(series_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(series_module, name, counted(name))
+        rng = random.Random(23)
+        for length, packed in ((4, False), (40, True)):
+            calls.update(dict.fromkeys(calls, 0))
+            _dense_row(field, rng, length, True) * _dense_row(field, rng, length, True)
+            assert calls == {"_kronecker_product": int(packed), "_convolve": int(not packed)}
+
+
 # QQ, F_5, Q(i), F5[x]/(x^2 - 2) and F2[x]/(x^3 + x + 1)
 INVERSE_FIELDS = KERNEL_FIELDS[:2] + [PACKED_FIELDS[2], PACKED_FIELDS[0], PACKED_FIELDS[1]]
 
